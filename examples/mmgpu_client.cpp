@@ -172,7 +172,7 @@ checkField(const std::string &workload, const char *field,
 {
     const JsonValue *remote =
         point != nullptr ? point->find(field) : nullptr;
-    std::string expect = serve::encodeHexDouble(local);
+    std::string expect = encodeHexDouble(local);
     if (remote == nullptr || !remote->isString() ||
         remote->asString() != expect) {
         std::fprintf(stderr,

@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <iomanip>
 #include <sstream>
@@ -508,6 +509,25 @@ std::optional<JsonValue>
 parseJson(const std::string &text)
 {
     return Parser(text).document();
+}
+
+std::string
+encodeHexDouble(double value)
+{
+    char buffer[48];
+    std::snprintf(buffer, sizeof(buffer), "%a", value);
+    return buffer;
+}
+
+bool
+decodeHexDouble(const JsonValue *value, double &out)
+{
+    if (value == nullptr || !value->isString())
+        return false;
+    const std::string &text = value->asString();
+    char *end = nullptr;
+    out = std::strtod(text.c_str(), &end);
+    return !text.empty() && end == text.c_str() + text.size();
 }
 
 } // namespace mmgpu

@@ -127,6 +127,16 @@ class JsonValue
  */
 std::optional<JsonValue> parseJson(const std::string &text);
 
+/**
+ * Encode @p value as a C99 hexfloat string ("%a"): bit-exact through
+ * decodeHexDouble(). The run cache and the serve protocol carry
+ * every result double this way.
+ */
+std::string encodeHexDouble(double value);
+
+/** Decode a hexfloat string; false on malformed or non-string input. */
+bool decodeHexDouble(const JsonValue *value, double &out);
+
 } // namespace mmgpu
 
 #endif // MMGPU_COMMON_JSON_HH

@@ -13,6 +13,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 namespace mmgpu
 {
 
@@ -112,6 +114,16 @@ class ClockDomain
     bytesPerCycle(double bytes_per_second) const
     {
         return bytes_per_second / freqHz;
+    }
+
+    auto operator<=>(const ClockDomain &) const = default;
+
+    template <FieldsOf<ClockDomain> S, typename Visit>
+    friend constexpr void
+    forEachField(S &self, Visit &&visit)
+    {
+        auto &[freqHz] = self;
+        visit("freqHz", freqHz);
     }
 
   private:

@@ -21,21 +21,6 @@ defaultSensorFaults()
     return spec;
 }
 
-std::uint64_t
-LinkFaultSpec::digest() const
-{
-    if (faults.empty())
-        return 0;
-    Fnv1a hash;
-    hash.add(static_cast<std::uint64_t>(faults.size()));
-    for (const LinkFault &fault : faults) {
-        hash.add(fault.gpm);
-        hash.add(fault.channel);
-        hash.add(fault.capacityScale);
-    }
-    return hash.digest();
-}
-
 bool
 HarnessFaultSpec::matches(const std::vector<std::string> &points,
                           const std::string &config,

@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
+
 namespace mmgpu::fault
 {
 
@@ -88,22 +90,42 @@ struct LinkFault
     double capacityScale = 1.0;
 
     bool failed() const { return capacityScale == 0.0; }
+
+    auto operator<=>(const LinkFault &) const = default;
 };
 
-/** The set of link faults applied to one configuration. */
+template <FieldsOf<LinkFault> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[gpm, channel, capacityScale] = self;
+    visit("gpm", gpm);
+    visit("channel", channel);
+    visit("capacityScale", capacityScale);
+}
+
+/**
+ * The set of link faults applied to one configuration. Part of
+ * GpuConfig, so it enters every run identity through the
+ * configuration's own field list: degraded runs never alias healthy
+ * ones, and fault order matters.
+ */
 struct LinkFaultSpec
 {
     std::vector<LinkFault> faults;
 
     bool empty() const { return faults.empty(); }
 
-    /**
-     * Order-sensitive FNV-1a digest; 0 for the empty spec. Folded
-     * into run fingerprints and memo keys so degraded runs never
-     * alias healthy ones.
-     */
-    std::uint64_t digest() const;
+    auto operator<=>(const LinkFaultSpec &) const = default;
 };
+
+template <FieldsOf<LinkFaultSpec> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[faults] = self;
+    visit("faults", faults);
+}
 
 /**
  * Sweep-point sabotage for harness robustness testing. Points are

@@ -22,6 +22,7 @@
 #include <array>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "gpujoule/energy_table.hh"
 #include "isa/instruction.hh"
@@ -132,7 +133,25 @@ struct EnergyBreakdown
         return smBusy + smIdle + constant + shmToReg + l1ToReg +
                l2ToL1 + dramToL2 + interModule;
     }
+
+    auto operator<=>(const EnergyBreakdown &) const = default;
 };
+
+template <FieldsOf<EnergyBreakdown> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[smBusy, smIdle, constant, shmToReg, l1ToReg, l2ToL1, dramToL2,
+           interModule] = self;
+    visit("smBusy", smBusy);
+    visit("smIdle", smIdle);
+    visit("constant", constant);
+    visit("shmToReg", shmToReg);
+    visit("l1ToReg", l1ToReg);
+    visit("l2ToL1", l2ToL1);
+    visit("dramToL2", dramToL2);
+    visit("interModule", interModule);
+}
 
 /** Evaluate Eq. 4. */
 EnergyBreakdown estimate(const EnergyInputs &inputs,

@@ -11,23 +11,6 @@
 namespace mmgpu::harness
 {
 
-namespace
-{
-
-RunKey
-keyFor(const sim::GpuConfig &config,
-       const trace::KernelProfile &profile, double link_energy_scale,
-       double const_growth_override)
-{
-    return RunKey{config.name, profile.name,
-                  static_cast<std::uint8_t>(config.placement),
-                  static_cast<std::uint8_t>(config.ctaScheduling),
-                  link_energy_scale, const_growth_override,
-                  config.linkFaults.digest()};
-}
-
-} // namespace
-
 ParallelRunner::ParallelRunner(ScalingRunner &runner, unsigned workers)
     : runner_(&runner),
       workers_(workers > 0 ? workers : defaultWorkers())
@@ -55,15 +38,15 @@ ParallelRunner::enqueue(const sim::GpuConfig &config,
                         double link_energy_scale,
                         double const_growth_override)
 {
-    if (runner_->cached(config, profile, link_energy_scale,
+    const RunPoint point{link_energy_scale, const_growth_override,
+                         &config, &profile};
+    if (queued_.contains(point) ||
+        runner_->cached(config, profile, link_energy_scale,
                         const_growth_override))
         return;
-    RunKey key = keyFor(config, profile, link_energy_scale,
-                        const_growth_override);
-    if (!queued_.insert(std::move(key)).second)
-        return;
-    jobs_.push_back(Job{config, profile, link_energy_scale,
-                        const_growth_override});
+    jobs_.push_back(RunKey{link_energy_scale, const_growth_override,
+                           config, profile});
+    queued_.insert(jobs_.back().point());
 }
 
 void
@@ -83,9 +66,9 @@ ParallelRunner::enqueueStudy(
 DrainReport
 ParallelRunner::drain()
 {
-    std::vector<Job> jobs = std::move(jobs_);
-    jobs_.clear();
     queued_.clear();
+    std::deque<RunKey> jobs = std::move(jobs_);
+    jobs_.clear();
     DrainReport report;
     if (jobs.empty())
         return report;
@@ -107,7 +90,7 @@ ParallelRunner::drain()
     auto work = [&](std::size_t index) {
         JobState &state = states[index];
         state.startMs.store(now_ms(), std::memory_order_release);
-        const Job &job = jobs[index];
+        const RunKey &job = jobs[index];
         Result<const RunOutcome *> result = runner_->tryRun(
             job.config, job.profile, job.linkEnergyScale,
             job.constGrowthOverride, &state.cancel);
@@ -122,10 +105,8 @@ ParallelRunner::drain()
             }
         } else {
             std::lock_guard<std::mutex> lock(report_mutex);
-            report.failures.push_back(PointFailure{
-                keyFor(job.config, job.profile, job.linkEnergyScale,
-                       job.constGrowthOverride),
-                result.error()});
+            report.failures.push_back(
+                PointFailure{job, result.error()});
         }
     };
 

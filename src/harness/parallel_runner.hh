@@ -19,6 +19,7 @@
 #define MMGPU_HARNESS_PARALLEL_RUNNER_HH
 
 #include <cstddef>
+#include <deque>
 #include <set>
 #include <vector>
 
@@ -128,20 +129,14 @@ class ParallelRunner
     DrainReport drain();
 
   private:
-    struct Job
-    {
-        sim::GpuConfig config;
-        trace::KernelProfile profile;
-        double linkEnergyScale;
-        double constGrowthOverride;
-    };
-
     ScalingRunner *runner_;
     unsigned workers_;
     double watchdogSeconds_ = 0.0;
     std::size_t checkpointEvery_ = 0;
-    std::vector<Job> jobs_;
-    std::set<RunKey> queued_; //!< duplicate suppression per batch
+    std::deque<RunKey> jobs_; //!< deque: queued_ points into it
+
+    /** Duplicate suppression per batch: views of jobs_ entries. */
+    std::set<RunPoint> queued_;
 };
 
 } // namespace mmgpu::harness

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/fields.hh"
 #include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -20,190 +21,6 @@ namespace mmgpu::harness
 
 namespace
 {
-
-// ---- exact scalar <-> string codecs ----
-
-/** Doubles as C99 hexfloats: bit-exact through strtod. */
-std::string
-encodeDouble(double value)
-{
-    char buffer[48];
-    std::snprintf(buffer, sizeof(buffer), "%a", value);
-    return buffer;
-}
-
-std::string
-encodeCount(Count value)
-{
-    char buffer[24];
-    std::snprintf(buffer, sizeof(buffer), "%" PRIu64,
-                  static_cast<std::uint64_t>(value));
-    return buffer;
-}
-
-bool
-decodeDouble(const JsonValue *value, double &out)
-{
-    if (value == nullptr || !value->isString())
-        return false;
-    const std::string &text = value->asString();
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return end == text.c_str() + text.size() && !text.empty();
-}
-
-bool
-decodeCount(const JsonValue *value, Count &out)
-{
-    if (value == nullptr || !value->isString())
-        return false;
-    const std::string &text = value->asString();
-    char *end = nullptr;
-    out = std::strtoull(text.c_str(), &end, 10);
-    return end == text.c_str() + text.size() && !text.empty();
-}
-
-template <std::size_t N>
-JsonValue
-encodeCountArray(const std::array<Count, N> &values)
-{
-    JsonValue array = JsonValue::array();
-    for (Count value : values)
-        array.push(encodeCount(value));
-    return array;
-}
-
-template <std::size_t N>
-bool
-decodeCountArray(const JsonValue *value, std::array<Count, N> &out)
-{
-    if (value == nullptr || !value->isArray() || value->size() != N)
-        return false;
-    for (std::size_t i = 0; i < N; ++i) {
-        if (!decodeCount(value->at(i), out[i]))
-            return false;
-    }
-    return true;
-}
-
-// ---- run payload <-> JSON ----
-
-JsonValue
-encodePerf(const sim::PerfResult &perf)
-{
-    JsonValue v = JsonValue::object();
-    v.set("configName", perf.configName);
-    v.set("workloadName", perf.workloadName);
-    v.set("execCycles", encodeDouble(perf.execCycles));
-    v.set("execSeconds", encodeDouble(perf.execSeconds));
-    v.set("instrs", encodeCountArray(perf.instrs));
-    v.set("memTxns", encodeCountArray(perf.mem.txns));
-    v.set("l1SectorMisses", encodeCount(perf.mem.l1SectorMisses));
-    v.set("l2SectorMisses", encodeCount(perf.mem.l2SectorMisses));
-    v.set("remoteSectors", encodeCount(perf.mem.remoteSectors));
-    v.set("localSectors", encodeCount(perf.mem.localSectors));
-    v.set("writebackSectors", encodeCount(perf.mem.writebackSectors));
-    v.set("linkByteHops", encodeCount(perf.link.byteHops));
-    v.set("linkMessageBytes", encodeCount(perf.link.messageBytes));
-    v.set("linkSwitchBytes", encodeCount(perf.link.switchBytes));
-    v.set("linkTransfers", encodeCount(perf.link.transfers));
-    v.set("linkRerouted", encodeCount(perf.link.rerouted));
-    v.set("linkReconfigs", encodeCount(perf.link.reconfigs));
-    v.set("smBusyCycles", encodeDouble(perf.smBusyCycles));
-    v.set("smStallCycles", encodeDouble(perf.smStallCycles));
-    v.set("smOccupiedCycles", encodeDouble(perf.smOccupiedCycles));
-    v.set("l1Accesses", encodeCount(perf.l1Accesses));
-    v.set("l1SectorHits", encodeCount(perf.l1SectorHits));
-    v.set("l2Accesses", encodeCount(perf.l2Accesses));
-    v.set("l2SectorHits", encodeCount(perf.l2SectorHits));
-    v.set("dramQueueing", encodeDouble(perf.dramQueueing));
-    v.set("linkQueueing", encodeDouble(perf.linkQueueing));
-    v.set("linkBusy", encodeDouble(perf.linkBusy));
-    v.set("dramBusy", encodeDouble(perf.dramBusy));
-    return v;
-}
-
-bool
-decodePerf(const JsonValue *v, sim::PerfResult &perf)
-{
-    if (v == nullptr || !v->isObject())
-        return false;
-    const JsonValue *config = v->find("configName");
-    const JsonValue *workload = v->find("workloadName");
-    if (config == nullptr || !config->isString() ||
-        workload == nullptr || !workload->isString())
-        return false;
-    perf.configName = config->asString();
-    perf.workloadName = workload->asString();
-    return decodeDouble(v->find("execCycles"), perf.execCycles) &&
-           decodeDouble(v->find("execSeconds"), perf.execSeconds) &&
-           decodeCountArray(v->find("instrs"), perf.instrs) &&
-           decodeCountArray(v->find("memTxns"), perf.mem.txns) &&
-           decodeCount(v->find("l1SectorMisses"),
-                       perf.mem.l1SectorMisses) &&
-           decodeCount(v->find("l2SectorMisses"),
-                       perf.mem.l2SectorMisses) &&
-           decodeCount(v->find("remoteSectors"),
-                       perf.mem.remoteSectors) &&
-           decodeCount(v->find("localSectors"),
-                       perf.mem.localSectors) &&
-           decodeCount(v->find("writebackSectors"),
-                       perf.mem.writebackSectors) &&
-           decodeCount(v->find("linkByteHops"), perf.link.byteHops) &&
-           decodeCount(v->find("linkMessageBytes"),
-                       perf.link.messageBytes) &&
-           decodeCount(v->find("linkSwitchBytes"),
-                       perf.link.switchBytes) &&
-           decodeCount(v->find("linkTransfers"),
-                       perf.link.transfers) &&
-           decodeCount(v->find("linkRerouted"),
-                       perf.link.rerouted) &&
-           decodeCount(v->find("linkReconfigs"),
-                       perf.link.reconfigs) &&
-           decodeDouble(v->find("smBusyCycles"), perf.smBusyCycles) &&
-           decodeDouble(v->find("smStallCycles"),
-                        perf.smStallCycles) &&
-           decodeDouble(v->find("smOccupiedCycles"),
-                        perf.smOccupiedCycles) &&
-           decodeCount(v->find("l1Accesses"), perf.l1Accesses) &&
-           decodeCount(v->find("l1SectorHits"), perf.l1SectorHits) &&
-           decodeCount(v->find("l2Accesses"), perf.l2Accesses) &&
-           decodeCount(v->find("l2SectorHits"), perf.l2SectorHits) &&
-           decodeDouble(v->find("dramQueueing"), perf.dramQueueing) &&
-           decodeDouble(v->find("linkQueueing"), perf.linkQueueing) &&
-           decodeDouble(v->find("linkBusy"), perf.linkBusy) &&
-           decodeDouble(v->find("dramBusy"), perf.dramBusy);
-}
-
-JsonValue
-encodeEnergy(const joule::EnergyBreakdown &energy)
-{
-    JsonValue v = JsonValue::object();
-    v.set("smBusy", encodeDouble(energy.smBusy));
-    v.set("smIdle", encodeDouble(energy.smIdle));
-    v.set("constant", encodeDouble(energy.constant));
-    v.set("shmToReg", encodeDouble(energy.shmToReg));
-    v.set("l1ToReg", encodeDouble(energy.l1ToReg));
-    v.set("l2ToL1", encodeDouble(energy.l2ToL1));
-    v.set("dramToL2", encodeDouble(energy.dramToL2));
-    v.set("interModule", encodeDouble(energy.interModule));
-    return v;
-}
-
-bool
-decodeEnergy(const JsonValue *v, joule::EnergyBreakdown &energy)
-{
-    if (v == nullptr || !v->isObject())
-        return false;
-    return decodeDouble(v->find("smBusy"), energy.smBusy) &&
-           decodeDouble(v->find("smIdle"), energy.smIdle) &&
-           decodeDouble(v->find("constant"), energy.constant) &&
-           decodeDouble(v->find("shmToReg"), energy.shmToReg) &&
-           decodeDouble(v->find("l1ToReg"), energy.l1ToReg) &&
-           decodeDouble(v->find("l2ToL1"), energy.l2ToL1) &&
-           decodeDouble(v->find("dramToL2"), energy.dramToL2) &&
-           decodeDouble(v->find("interModule"), energy.interModule);
-}
 
 std::string
 keyName(std::uint64_t key)
@@ -262,83 +79,10 @@ runFingerprint(const sim::GpuConfig &config,
 {
     Fnv1a hash(runCacheSchemaVersion);
     hash.add(calib_fingerprint);
-
-    // Configuration: every field the simulator or the energy model
-    // reads, not just the display name (ablations rename nothing).
-    hash.add(config.name);
-    hash.add(config.gpmCount);
-    hash.add(config.smsPerGpm);
-    hash.add(config.warpSlotsPerSm);
-    hash.add(config.issueSlotsPerCycle);
-    hash.add(config.memory.gpmCount);
-    hash.add(config.memory.smsPerGpm);
-    hash.add(static_cast<std::uint64_t>(config.memory.l1BytesPerSm));
-    hash.add(config.memory.l1Assoc);
-    hash.add(static_cast<std::uint64_t>(config.memory.l2BytesPerGpm));
-    hash.add(config.memory.l2Assoc);
-    hash.add(config.memory.dramBytesPerCycle);
-    hash.add(config.memory.nocBytesPerCycle);
-    hash.add(static_cast<std::uint64_t>(config.memory.l1Latency));
-    hash.add(static_cast<std::uint64_t>(config.memory.l2Latency));
-    hash.add(static_cast<std::uint64_t>(config.memory.dramLatency));
-    hash.add(static_cast<std::uint64_t>(config.memory.nocLatency));
-    hash.add(static_cast<std::uint64_t>(config.memory.sharedLatency));
-    hash.add(config.topology);
-    hash.add(config.domain);
-    hash.add(config.placement);
-    hash.add(config.ctaScheduling);
-    hash.add(config.interGpmBytesPerCycle);
-    hash.add(static_cast<std::uint64_t>(config.hopLatency));
-    hash.add(static_cast<std::uint64_t>(config.switchLatency));
-    hash.add(static_cast<std::uint64_t>(config.launchOverhead));
-    hash.add(config.clock.frequency());
-
-    // Workload: the full statistical description.
-    hash.add(profile.name);
-    hash.add(profile.cls);
-    hash.add(profile.ctaCount);
-    hash.add(profile.warpsPerCta);
-    hash.add(profile.iterations);
-    hash.add(profile.launches);
-    hash.add(profile.mlp);
-    hash.add(static_cast<std::uint64_t>(profile.compute.size()));
-    for (const auto &mix : profile.compute) {
-        hash.add(mix.op);
-        hash.add(mix.perIteration);
-    }
-    hash.add(profile.sharedLoadsPerIter);
-    auto add_accesses =
-        [&hash](const std::vector<trace::SegmentAccess> &accesses) {
-            hash.add(static_cast<std::uint64_t>(accesses.size()));
-            for (const auto &access : accesses) {
-                hash.add(access.segment);
-                hash.add(access.pattern);
-                hash.add(access.perIteration);
-                hash.add(access.divergence);
-                hash.add(access.irregular);
-                hash.add(access.haloFraction);
-                hash.add(access.haloStride);
-            }
-        };
-    add_accesses(profile.loads);
-    add_accesses(profile.stores);
-    hash.add(static_cast<std::uint64_t>(profile.segments.size()));
-    for (const auto &segment : profile.segments) {
-        hash.add(segment.name);
-        hash.add(static_cast<std::uint64_t>(segment.bytes));
-    }
-    hash.add(profile.seed);
-    hash.add(profile.hwKernelSeconds);
-    hash.add(profile.hwGapSeconds);
-
-    // Link faults change routing and link capacities; healthy
-    // configurations contribute nothing (fingerprints unchanged).
-    if (!config.linkFaults.empty())
-        hash.add(config.linkFaults.digest());
-
-    // Energy-parameter overrides.
     hash.add(link_energy_scale);
     hash.add(const_growth_override);
+    hashFields(hash, config);
+    hashFields(hash, profile);
     return hash.digest();
 }
 
@@ -448,8 +192,7 @@ RunCache::loadLocked()
         Entry decoded;
         if (name == nullptr || !name->isString() ||
             !parseKeyName(name->asString(), key) ||
-            !decodePerf(record->find("perf"), decoded.perf) ||
-            !decodeEnergy(record->find("energy"), decoded.energy)) {
+            !fieldsFromJson(record, decoded)) {
             ++bad;
             continue;
         }
@@ -517,10 +260,8 @@ RunCache::appendWalLocked(std::uint64_t key, const Entry &entry)
     if (walFd_ < 0)
         return;
 
-    JsonValue record = JsonValue::object();
+    JsonValue record = fieldsToJson(entry);
     record.set("key", keyName(key));
-    record.set("perf", encodePerf(entry.perf));
-    record.set("energy", encodeEnergy(entry.energy));
     std::string payload = record.dumpCompact();
     Fnv1a sum;
     sum.add(payload);
@@ -596,9 +337,7 @@ RunCache::replayWalLocked()
                 Entry decoded;
                 if (name != nullptr && name->isString() &&
                     parseKeyName(name->asString(), key) &&
-                    decodePerf(doc->find("perf"), decoded.perf) &&
-                    decodeEnergy(doc->find("energy"),
-                                 decoded.energy)) {
+                    fieldsFromJson(&*doc, decoded)) {
                     entries_[key] = std::move(decoded); // WAL wins
                     ++walReplayed_;
                     ok = true;
@@ -656,10 +395,8 @@ RunCache::flush()
             static_cast<unsigned long long>(runCacheSchemaVersion));
     JsonValue entries = JsonValue::array();
     for (const auto &[key, entry] : entries_) {
-        JsonValue record = JsonValue::object();
+        JsonValue record = fieldsToJson(entry);
         record.set("key", keyName(key));
-        record.set("perf", encodePerf(entry.perf));
-        record.set("energy", encodeEnergy(entry.energy));
         entries.push(std::move(record));
     }
     doc.set("entries", std::move(entries));

@@ -11,18 +11,19 @@
  * binary computes is free for the next.
  *
  * Keys are a 64-bit FNV-1a fingerprint over *every* input that can
- * change a result: the full GpuConfig (including the derived memory
- * configuration), the full KernelProfile (mixes, segments, seeds,
- * access descriptors), the link-energy scale and constant-growth
- * overrides, the calibration outcome the energy model used, and a
- * schema-version salt. Bumping `runCacheSchemaVersion` invalidates
- * every existing cache file; stale or corrupt files degrade to a
- * cache miss, never an error.
+ * change a result: the link-energy scale and constant-growth
+ * overrides, every GpuConfig and KernelProfile field (hashFields()
+ * over each struct's forEachField list, so a new field joins the key
+ * by construction), the calibration outcome the energy model used,
+ * and a schema-version salt. Bumping `runCacheSchemaVersion`
+ * invalidates every existing cache file; stale or corrupt files
+ * degrade to a cache miss, never an error.
  *
- * Serialization is exact: doubles are stored as C99 hexfloat strings
- * ("%a") and event counts as decimal strings, so a cache round-trip
- * is bit-identical to the freshly computed result — the determinism
- * tests assert this.
+ * Serialization is exact and derived the same way: fieldsToJson()
+ * over the PerfResult and EnergyBreakdown field lists stores doubles
+ * as C99 hexfloat strings ("%a") and event counts as decimal
+ * strings, so a cache round-trip reproduces every field of the
+ * freshly computed result — the determinism tests assert this.
  *
  * Escape hatches: `MMGPU_NO_CACHE=1` disables the process-wide cache
  * entirely; `MMGPU_CACHE_DIR=<dir>` relocates it (used by the test
@@ -57,6 +58,7 @@
 #include <string>
 #include <thread>
 
+#include "common/fields.hh"
 #include "common/thread_safety.hh"
 #include "gpujoule/calibration.hh"
 #include "gpujoule/energy_model.hh"
@@ -72,7 +74,7 @@ namespace mmgpu::harness
  * header. Bump when the simulator, the energy model, or the
  * serialized layout changes meaning.
  */
-constexpr std::uint64_t runCacheSchemaVersion = 3;
+constexpr std::uint64_t runCacheSchemaVersion = 4;
 
 /** Fingerprint of a calibration outcome (energy-param inputs). */
 std::uint64_t
@@ -192,10 +194,20 @@ class RunCache
     static RunCache *processCache();
 
   private:
+    /** One record; its field list is the on-disk layout. */
     struct Entry
     {
         sim::PerfResult perf;
         joule::EnergyBreakdown energy;
+
+        template <FieldsOf<Entry> S, typename Visit>
+        friend constexpr void
+        forEachField(S &self, Visit &&visit)
+        {
+            auto &[perf, energy] = self;
+            visit("perf", perf);
+            visit("energy", energy);
+        }
     };
 
     void loadLocked() MMGPU_REQUIRES(mutex_);

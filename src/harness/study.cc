@@ -1,10 +1,10 @@
 #include "harness/study.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -54,12 +54,6 @@ struct is_node_stable_map<std::unordered_map<K, V, H, E, A>>
 } // namespace
 
 /**
- * Sharded memo cache. A shard is a mutex-protected map; the mutex
- * covers only entry lookup/insertion (microseconds), while the
- * per-entry once_flag serializes the actual simulation of one key
- * (seconds) without blocking other keys in the same shard.
- */
-/**
  * One memoized point: exactly one thread computes it (per-entry
  * once_flag); the outcome or the failure is then shared by every
  * caller. A failed point stays failed for the runner's lifetime —
@@ -73,97 +67,49 @@ struct ScalingRunner::Entry
     std::optional<SimError> error;
 };
 
+/**
+ * Memo cache, keyed by the exact design point. The mutex covers only
+ * entry lookup/insertion (microseconds), while the per-entry
+ * once_flag serializes the actual simulation of one key (seconds)
+ * without blocking other keys.
+ *
+ * Each distinct configuration and profile is stored once, in
+ * `configs`/`profiles` (std::set nodes never move), and every key
+ * views those copies. A hit compares the caller's structs against
+ * these few shared, cache-warm copies and copies nothing; a miss
+ * copies a struct only the first time the runner sees it.
+ */
 struct ScalingRunner::Cache
 {
-    using ShardMap = std::map<RunKey, Entry>;
-    static_assert(is_node_stable_map<ShardMap>::value,
+    using Map = std::map<RunPoint, Entry>;
+    static_assert(is_node_stable_map<Map>::value,
                   "run() returns references into this map while "
                   "other threads insert; the container must keep "
                   "element addresses stable under insertion");
 
-    struct Shard
-    {
-        std::mutex mutex;
-        ShardMap entries MMGPU_GUARDED_BY(mutex);
-    };
-
-    static constexpr std::size_t shardCount = 8;
-    std::array<Shard, shardCount> shards;
-
-    static std::uint64_t
-    hashOf(const RunKey &key)
-    {
-        Fnv1a hash;
-        hash.add(key.config);
-        hash.add(key.workload);
-        hash.add(key.topology);
-        hash.add(key.placement);
-        hash.add(key.ctaScheduling);
-        hash.add(key.linkEnergyScale);
-        hash.add(key.constGrowthOverride);
-        hash.add(key.linkFaultDigest);
-        return hash.digest();
-    }
-
-    Shard &
-    shardFor(const RunKey &key)
-    {
-        return shards[hashOf(key) % shardCount];
-    }
+    std::mutex mutex;
+    std::set<sim::GpuConfig> configs MMGPU_GUARDED_BY(mutex);
+    std::set<trace::KernelProfile> profiles MMGPU_GUARDED_BY(mutex);
+    Map entries MMGPU_GUARDED_BY(mutex);
 };
 
 /**
- * Pool of idle build-once machines. GpuSim resets every component
- * before each run, so a pooled machine produces bit-identical
- * results to a freshly constructed one (test_gpu_sim.cc proves
- * this); pooling removes the per-point hierarchy construction from
- * sweeps. Keyed by machine identity — the same convention the memo
- * key uses (the config name stands in for the full configuration),
- * narrowed to the fields that shape the machine itself; energy
- * overrides don't build different machines.
+ * Pool of idle build-once machines, keyed by their full GpuConfig.
+ * GpuSim resets every component before each run, so a pooled
+ * machine produces bit-identical results to a freshly constructed
+ * one (test_gpu_sim.cc proves this); pooling removes the per-point
+ * hierarchy construction from sweeps. Energy knobs don't build
+ * different machines.
  */
 struct ScalingRunner::MachinePool
 {
-    struct MachineKey
-    {
-        std::string config;
-        std::uint8_t topology = 0;
-        std::uint8_t placement = 0;
-        std::uint8_t ctaScheduling = 0;
-        std::uint64_t linkFaultDigest = 0;
-
-        friend bool
-        operator<(const MachineKey &a, const MachineKey &b)
-        {
-            if (int c = a.config.compare(b.config))
-                return c < 0;
-            if (a.topology != b.topology)
-                return a.topology < b.topology;
-            if (a.placement != b.placement)
-                return a.placement < b.placement;
-            if (a.ctaScheduling != b.ctaScheduling)
-                return a.ctaScheduling < b.ctaScheduling;
-            return a.linkFaultDigest < b.linkFaultDigest;
-        }
-    };
-
-    static MachineKey
-    keyOf(const sim::GpuConfig &config)
-    {
-        return {config.name,
-                static_cast<std::uint8_t>(config.topology),
-                static_cast<std::uint8_t>(config.placement),
-                static_cast<std::uint8_t>(config.ctaScheduling),
-                config.linkFaults.digest()};
-    }
-
     /** Reuse an idle machine for @p config, or build one. */
     std::unique_ptr<sim::GpuSim>
     acquire(const sim::GpuConfig &config)
     {
         {
             std::lock_guard<std::mutex> lock(mutex);
-            auto it = idle.find(keyOf(config));
+            auto it = idle.find(config);
             if (it != idle.end() && !it->second.empty()) {
                 std::unique_ptr<sim::GpuSim> machine =
                     std::move(it->second.back());
@@ -181,15 +127,15 @@ struct ScalingRunner::MachinePool
     release(std::unique_ptr<sim::GpuSim> machine)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        idle[keyOf(machine->config())].push_back(std::move(machine));
+        idle[machine->config()].push_back(std::move(machine));
     }
 
-    /** Destroy every idle machine under @p key. @return count. */
+    /** Destroy every idle machine built for @p config. @return count. */
     std::size_t
-    retire(const MachineKey &key)
+    retire(const sim::GpuConfig &config)
     {
         std::lock_guard<std::mutex> lock(mutex);
-        auto it = idle.find(key);
+        auto it = idle.find(config);
         if (it == idle.end())
             return 0;
         std::size_t count = it->second.size();
@@ -203,39 +149,21 @@ struct ScalingRunner::MachinePool
     {
         std::lock_guard<std::mutex> lock(mutex);
         std::size_t count = 0;
-        for (auto &[key, machines] : idle)
+        for (auto &[config, machines] : idle)
             count += machines.size();
         idle.clear();
         return count;
     }
 
     std::mutex mutex;
-    std::map<MachineKey, std::vector<std::unique_ptr<sim::GpuSim>>>
+    std::map<sim::GpuConfig, std::vector<std::unique_ptr<sim::GpuSim>>>
         idle MMGPU_GUARDED_BY(mutex);
 };
-
-namespace
-{
-
-RunKey
-makeKey(const sim::GpuConfig &config,
-        const trace::KernelProfile &profile, double link_energy_scale,
-        double const_growth_override)
-{
-    return RunKey{config.name, profile.name,
-                  static_cast<std::uint8_t>(config.topology),
-                  static_cast<std::uint8_t>(config.placement),
-                  static_cast<std::uint8_t>(config.ctaScheduling),
-                  link_energy_scale, const_growth_override,
-                  config.linkFaults.digest()};
-}
-
-} // namespace
 
 std::string
 runKeyName(const RunKey &key)
 {
-    return key.config + "|" + key.workload;
+    return key.config.name + "|" + key.profile.name;
 }
 
 joule::EnergyInputs
@@ -312,7 +240,7 @@ ScalingRunner::~ScalingRunner() = default;
 std::size_t
 ScalingRunner::invalidateMachines(const sim::GpuConfig &config)
 {
-    return machines_->retire(MachinePool::keyOf(config));
+    return machines_->retire(config);
 }
 
 std::size_t
@@ -328,14 +256,18 @@ ScalingRunner::ensure(const sim::GpuConfig &config,
                       double const_growth_override,
                       const std::atomic<bool> *cancel)
 {
-    RunKey key = makeKey(config, profile, link_energy_scale,
-                         const_growth_override);
-    Cache::Shard &shard = cache_->shardFor(key);
+    RunPoint point{link_energy_scale, const_growth_override, &config,
+                   &profile};
     Entry *entry;
     {
-        std::lock_guard<std::mutex> lock(shard.mutex);
-        entry = &shard.entries.try_emplace(std::move(key))
-                     .first->second;
+        std::lock_guard<std::mutex> lock(cache_->mutex);
+        auto it = cache_->entries.lower_bound(point);
+        if (it == cache_->entries.end() || point < it->first) {
+            point.config = &*cache_->configs.insert(config).first;
+            point.profile = &*cache_->profiles.insert(profile).first;
+            it = cache_->entries.try_emplace(it, point);
+        }
+        entry = &it->second;
     }
     // First caller computes; concurrent callers of the same key
     // block here until the outcome is ready, then share the node.
@@ -387,12 +319,11 @@ ScalingRunner::cached(const sim::GpuConfig &config,
                       double link_energy_scale,
                       double const_growth_override) const
 {
-    RunKey key = makeKey(config, profile, link_energy_scale,
-                         const_growth_override);
-    Cache::Shard &shard = cache_->shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    return it != shard.entries.end() &&
+    const RunPoint point{link_energy_scale, const_growth_override,
+                         &config, &profile};
+    std::lock_guard<std::mutex> lock(cache_->mutex);
+    auto it = cache_->entries.find(point);
+    return it != cache_->entries.end() &&
            it->second.done.load(std::memory_order_acquire);
 }
 

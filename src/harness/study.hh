@@ -15,10 +15,11 @@
 #define MMGPU_HARNESS_STUDY_HH
 
 #include <atomic>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/result.hh"
@@ -134,44 +135,51 @@ class StudyContext
 };
 
 /**
- * Memoized lookup key of one run: everything that distinguishes two
- * (configuration, workload, energy-override) points of a sweep. A
- * plain struct with field-wise ordering — cheaper to build and
- * compare than the ostringstream-formatted string it replaced, and
- * hashable for shard selection.
+ * Non-owning view of one design point, ordered by content (never by
+ * address): memo lookups compare through it, so a hit copies
+ * nothing. The knobs and the two names come first because they are
+ * cheap and usually decide; only points that share all four compare
+ * the full structs.
+ */
+struct RunPoint
+{
+    double linkEnergyScale;
+    double constGrowthOverride;
+    const sim::GpuConfig *config;
+    const trace::KernelProfile *profile;
+
+    friend std::partial_ordering
+    operator<=>(const RunPoint &a, const RunPoint &b)
+    {
+        return std::tie(a.linkEnergyScale, a.constGrowthOverride,
+                        a.config->name, a.profile->name, *a.config,
+                        *a.profile) <=>
+               std::tie(b.linkEnergyScale, b.constGrowthOverride,
+                        b.config->name, b.profile->name, *b.config,
+                        *b.profile);
+    }
+};
+
+/**
+ * The exact design point of one run: both energy knobs, the full
+ * configuration and the full workload profile, so two points
+ * differing in any field never compare equal. Batches own their
+ * points as RunKeys; the memo looks them up through point().
  */
 struct RunKey
 {
-    std::string config;
-    std::string workload;
-    std::uint8_t topology = 0;
-    std::uint8_t placement = 0;
-    std::uint8_t ctaScheduling = 0;
     double linkEnergyScale = 1.0;
     double constGrowthOverride = -1.0;
+    sim::GpuConfig config;
+    trace::KernelProfile profile;
 
-    /** LinkFaultSpec::digest() of the configuration (0 = healthy),
-     *  so degraded-mode points never alias healthy ones. */
-    std::uint64_t linkFaultDigest = 0;
+    auto operator<=>(const RunKey &) const = default;
 
-    friend bool
-    operator<(const RunKey &a, const RunKey &b)
+    RunPoint
+    point() const
     {
-        if (int c = a.config.compare(b.config))
-            return c < 0;
-        if (int c = a.workload.compare(b.workload))
-            return c < 0;
-        if (a.topology != b.topology)
-            return a.topology < b.topology;
-        if (a.placement != b.placement)
-            return a.placement < b.placement;
-        if (a.ctaScheduling != b.ctaScheduling)
-            return a.ctaScheduling < b.ctaScheduling;
-        if (a.linkEnergyScale != b.linkEnergyScale)
-            return a.linkEnergyScale < b.linkEnergyScale;
-        if (a.constGrowthOverride != b.constGrowthOverride)
-            return a.constGrowthOverride < b.constGrowthOverride;
-        return a.linkFaultDigest < b.linkFaultDigest;
+        return {linkEnergyScale, constGrowthOverride, &config,
+                &profile};
     }
 };
 
@@ -183,11 +191,11 @@ std::string runKeyName(const RunKey &key);
  *
  * Thread-safety: run() may be called from any number of threads
  * concurrently (this is what ParallelRunner does). The memo cache is
- * sharded by key hash; each shard is a mutex-protected std::map whose
- * *node stability* is load-bearing — run() returns references into
- * the map while other threads keep inserting, and exactly one thread
- * computes any given key (per-entry std::call_once) while others
- * block until the outcome is ready. Telemetry/persistent-cache
+ * one mutex-protected std::map whose *node stability* is
+ * load-bearing — run() returns references into the map while other
+ * threads keep inserting, and exactly one thread computes any given
+ * key (per-entry std::call_once) while others block until the
+ * outcome is ready. Telemetry/persistent-cache
  * configuration calls are not synchronized: make them before the
  * first concurrent run() (benches configure, then drain).
  *
@@ -198,10 +206,9 @@ std::string runKeyName(const RunKey &key);
  * timelines) but still publish their perf/energy to the cache.
  *
  * Machines are pooled: GpuSim is build-once/reset-per-run, so
- * sweep points sharing a machine identity (config name, NUMA
- * policies, link-fault digest — the same convention the memo key
- * uses) reuse an idle machine instead of rebuilding the hierarchy,
- * with bit-identical results at any worker count.
+ * sweep points with an equal GpuConfig reuse an idle machine
+ * instead of rebuilding the hierarchy, with bit-identical results
+ * at any worker count.
  */
 class ScalingRunner
 {
@@ -217,10 +224,9 @@ class ScalingRunner
 
     /**
      * Simulate @p profile on @p config and estimate its energy.
-     * Results are memoized on (config name, NUMA policies, workload
-     * name, energy overrides); the returned reference stays valid
-     * for the runner's lifetime, including under concurrent run()
-     * calls on other threads.
+     * Results are memoized on the exact design point (RunKey); the
+     * returned reference stays valid for the runner's lifetime,
+     * including under concurrent run() calls on other threads.
      */
     const RunOutcome &run(const sim::GpuConfig &config,
                           const trace::KernelProfile &profile,
@@ -257,11 +263,10 @@ class ScalingRunner
     }
 
     /**
-     * Retire every idle pooled machine built for @p config's machine
-     * identity (config name, NUMA policies, link-fault digest). The
+     * Retire every idle pooled machine built for @p config. The
      * serve supervisor calls this after a shard crash: a machine the
      * crash may have left in a corrupt half-run state must never be
-     * reused, so the next run of that identity rebuilds from scratch.
+     * reused, so the next run of that config rebuilds from scratch.
      * A machine checked out by the crashing job is simply abandoned —
      * it is never released back into the pool.
      * @return machines destroyed.
@@ -323,7 +328,7 @@ class ScalingRunner
     const StudyContext &context() const { return *context_; }
 
   private:
-    struct Cache;       // sharded memo cache; defined in study.cc
+    struct Cache;       // memo cache; defined in study.cc
     struct MachinePool; // idle build-once machines; in study.cc
 
     /** Shared run()/tryRun() path: memoize outcome or error. */

@@ -25,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "isa/instruction.hh"
 #include "mem/cache.hh"
@@ -60,7 +60,31 @@ struct MemConfig
     Cycles dramLatency = 350;
     Cycles nocLatency = 16;
     Cycles sharedLatency = 25;
+
+    auto operator<=>(const MemConfig &) const = default;
 };
+
+template <FieldsOf<MemConfig> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[gpmCount, smsPerGpm, l1BytesPerSm, l1Assoc, l2BytesPerGpm,
+           l2Assoc, dramBytesPerCycle, nocBytesPerCycle, l1Latency,
+           l2Latency, dramLatency, nocLatency, sharedLatency] = self;
+    visit("gpmCount", gpmCount);
+    visit("smsPerGpm", smsPerGpm);
+    visit("l1BytesPerSm", l1BytesPerSm);
+    visit("l1Assoc", l1Assoc);
+    visit("l2BytesPerGpm", l2BytesPerGpm);
+    visit("l2Assoc", l2Assoc);
+    visit("dramBytesPerCycle", dramBytesPerCycle);
+    visit("nocBytesPerCycle", nocBytesPerCycle);
+    visit("l1Latency", l1Latency);
+    visit("l2Latency", l2Latency);
+    visit("dramLatency", dramLatency);
+    visit("nocLatency", nocLatency);
+    visit("sharedLatency", sharedLatency);
+}
 
 /** Event counts the energy model consumes (Eq. 4 inputs). */
 struct MemCounters
@@ -74,17 +98,24 @@ struct MemCounters
     Count localSectors = 0;  //!< sectors served by the local GPM
     Count writebackSectors = 0;
 
-    void
-    reset()
-    {
-        txns.fill(0);
-        l1SectorMisses = 0;
-        l2SectorMisses = 0;
-        remoteSectors = 0;
-        localSectors = 0;
-        writebackSectors = 0;
-    }
+    void reset() { *this = MemCounters{}; }
+
+    auto operator<=>(const MemCounters &) const = default;
 };
+
+template <FieldsOf<MemCounters> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[txns, l1SectorMisses, l2SectorMisses, remoteSectors,
+           localSectors, writebackSectors] = self;
+    visit("txns", txns);
+    visit("l1SectorMisses", l1SectorMisses);
+    visit("l2SectorMisses", l2SectorMisses);
+    visit("remoteSectors", remoteSectors);
+    visit("localSectors", localSectors);
+    visit("writebackSectors", writebackSectors);
+}
 
 /** The assembled (passive) memory hierarchy of one simulated GPU. */
 class MemSystem

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "fault/fault_plan.hh"
 #include "noc/bandwidth_server.hh"
@@ -87,19 +88,26 @@ struct LinkTraffic
      *  only; each one is charged a fixed energy penalty). */
     Count reconfigs = 0;
 
-    void
-    reset()
-    {
-        byteHops = 0;
-        messageBytes = 0;
-        switchBytes = 0;
-        transfers = 0;
-        rerouted = 0;
-        arrivals = 0;
-        deliveredBytes = 0;
-        reconfigs = 0;
-    }
+    void reset() { *this = LinkTraffic{}; }
+
+    auto operator<=>(const LinkTraffic &) const = default;
 };
+
+template <FieldsOf<LinkTraffic> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[byteHops, messageBytes, switchBytes, transfers, rerouted,
+           arrivals, deliveredBytes, reconfigs] = self;
+    visit("byteHops", byteHops);
+    visit("messageBytes", messageBytes);
+    visit("switchBytes", switchBytes);
+    visit("transfers", transfers);
+    visit("rerouted", rerouted);
+    visit("arrivals", arrivals);
+    visit("deliveredBytes", deliveredBytes);
+    visit("reconfigs", reconfigs);
+}
 
 /** Outcome of advancing a message by one network hop. */
 struct HopOutcome

@@ -1,8 +1,6 @@
 #include "serve/request.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
+#include "common/fields.hh"
 #include "common/hash.hh"
 #include "noc/topology_registry.hh"
 
@@ -116,15 +114,8 @@ RunSpec::config() const
 std::uint64_t
 RunSpec::machineIdentity() const
 {
-    // Mirrors the harness MachinePool key: the fields that shape the
-    // built machine, not the workload or the energy knobs.
-    sim::GpuConfig built = config();
     Fnv1a hash(identitySalt);
-    hash.add(built.name);
-    hash.add(built.topology);
-    hash.add(built.placement);
-    hash.add(built.ctaScheduling);
-    hash.add(built.linkFaults.digest());
+    hashFields(hash, config());
     return hash.digest();
 }
 
@@ -133,15 +124,7 @@ Request::workIdentity() const
 {
     Fnv1a hash(identitySalt);
     hash.add(type);
-    hash.add(spec.workload);
-    hash.add(spec.gpms);
-    hash.add(spec.bw);
-    hash.add(spec.topology);
-    hash.add(static_cast<std::uint64_t>(spec.domain + 1));
-    hash.add(spec.placement);
-    hash.add(spec.ctaSched);
-    hash.add(spec.linkEnergyScale);
-    hash.add(spec.constGrowthOverride);
+    hashFields(hash, spec);
     return hash.digest();
 }
 
@@ -404,8 +387,10 @@ parseResponse(const std::string &line)
     const std::string &name = status->asString();
     if (name == "ok") {
         response.status = ResponseStatus::Ok;
+        // Copy, then move in: a copy-assignment here trips GCC 12's
+        // -Wmaybe-uninitialized on the variant's bool alternative.
         if (const JsonValue *result = doc->find("result"))
-            response.result = *result;
+            response.result = JsonValue(*result);
     } else if (name == "error" || name == "rejected") {
         response.status = name == "error" ? ResponseStatus::Error
                                           : ResponseStatus::Rejected;
@@ -436,25 +421,6 @@ parseResponse(const std::string &line)
                                "'");
     }
     return response;
-}
-
-std::string
-encodeHexDouble(double value)
-{
-    char buffer[48];
-    std::snprintf(buffer, sizeof(buffer), "%a", value);
-    return buffer;
-}
-
-bool
-decodeHexDouble(const JsonValue *value, double &out)
-{
-    if (value == nullptr || !value->isString())
-        return false;
-    const std::string &text = value->asString();
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return !text.empty() && end == text.c_str() + text.size();
 }
 
 JsonValue

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/json.hh"
 #include "common/result.hh"
 #include "harness/study.hh"
@@ -96,13 +97,32 @@ struct RunSpec
     sim::GpuConfig config() const;
 
     /**
-     * Identity of the *machine* the spec needs — config name, NUMA
-     * policies — ignoring workload and energy knobs. The router uses
-     * this for shard affinity: requests that can reuse a pooled
-     * machine should land on the shard already holding one.
+     * Identity of the *machine* the spec needs: a hash of every
+     * config() field, ignoring workload and energy knobs. The
+     * router uses this for shard affinity: requests that can reuse
+     * a pooled machine should land on the shard already holding one.
      */
     std::uint64_t machineIdentity() const;
+
+    auto operator<=>(const RunSpec &) const = default;
 };
+
+template <FieldsOf<RunSpec> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[workload, gpms, bw, topology, domain, placement, ctaSched,
+           linkEnergyScale, constGrowthOverride] = self;
+    visit("workload", workload);
+    visit("gpms", gpms);
+    visit("bw", bw);
+    visit("topology", topology);
+    visit("domain", domain);
+    visit("placement", placement);
+    visit("ctaSched", ctaSched);
+    visit("linkEnergyScale", linkEnergyScale);
+    visit("constGrowthOverride", constGrowthOverride);
+}
 
 /** One parsed request. */
 struct Request
@@ -123,10 +143,10 @@ struct Request
     std::string client;
 
     /**
-     * Dedup identity of the *work* the request names: type, spec,
-     * energy knobs — everything that changes the answer, nothing
-     * that doesn't (id, priority). Two requests with equal identity
-     * share one simulation.
+     * Dedup identity of the *work* the request names: the type and
+     * every RunSpec field — everything that changes the answer,
+     * nothing that doesn't (id, priority, client). Two requests
+     * with equal identity share one simulation.
      */
     std::uint64_t workIdentity() const;
 
@@ -195,12 +215,6 @@ JsonValue encodeOutcome(const harness::RunOutcome &outcome);
 JsonValue
 encodeStudy(const sim::GpuConfig &config,
             const std::vector<harness::ScalingPoint> &points);
-
-/** Exact hexfloat codec shared by the encoders and the verifier. */
-std::string encodeHexDouble(double value);
-
-/** Decode a hexfloat string; false on malformed text. */
-bool decodeHexDouble(const JsonValue *value, double &out);
 
 } // namespace mmgpu::serve
 

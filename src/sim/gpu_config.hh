@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/result.hh"
 #include "common/units.hh"
 #include "fault/fault_plan.hh"
@@ -104,11 +105,8 @@ struct GpuConfig
     /** Core clock. All configurations run at 1 GHz. */
     ClockDomain clock{1.0e9};
 
-    /**
-     * Degraded or failed inter-GPM links for fault studies. Empty in
-     * every healthy configuration (and excluded from run
-     * fingerprints when empty, so healthy caches are unaffected).
-     */
+    /** Degraded or failed inter-GPM links for fault studies. Empty
+     *  in every healthy configuration. */
     fault::LinkFaultSpec linkFaults;
 
     /** Total SMs across the GPU. */
@@ -123,7 +121,40 @@ struct GpuConfig
 
     /** Consistency checks; fatal() on user error. */
     void validate() const;
+
+    auto operator<=>(const GpuConfig &) const = default;
 };
+
+/**
+ * The configuration's one field list: every run identity (memo key,
+ * machine-pool key, run-cache fingerprint, serve machine identity)
+ * derives from it, so no field can be left out of any of them.
+ */
+template <FieldsOf<GpuConfig> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[name, gpmCount, smsPerGpm, warpSlotsPerSm, issueSlotsPerCycle,
+           memory, topology, domain, placement, ctaScheduling,
+           interGpmBytesPerCycle, hopLatency, switchLatency,
+           launchOverhead, clock, linkFaults] = self;
+    visit("name", name);
+    visit("gpmCount", gpmCount);
+    visit("smsPerGpm", smsPerGpm);
+    visit("warpSlotsPerSm", warpSlotsPerSm);
+    visit("issueSlotsPerCycle", issueSlotsPerCycle);
+    visit("memory", memory);
+    visit("topology", topology);
+    visit("domain", domain);
+    visit("placement", placement);
+    visit("ctaScheduling", ctaScheduling);
+    visit("interGpmBytesPerCycle", interGpmBytesPerCycle);
+    visit("hopLatency", hopLatency);
+    visit("switchLatency", switchLatency);
+    visit("launchOverhead", launchOverhead);
+    visit("clock", clock);
+    visit("linkFaults", linkFaults);
+}
 
 /** The paper's basic 1-GPM building block (Table III column 1). */
 GpuConfig baselineConfig();

@@ -9,6 +9,7 @@
 
 #include <array>
 
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "isa/instruction.hh"
 #include "isa/opcode.hh"
@@ -95,7 +96,38 @@ struct PerfResult
     {
         return execCycles > 0.0 ? totalWarpInstrs() / execCycles : 0.0;
     }
+
+    auto operator<=>(const PerfResult &) const = default;
 };
+
+/** The result's one field list; the run cache persists exactly it. */
+template <FieldsOf<PerfResult> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[configName, workloadName, execCycles, execSeconds, instrs, mem,
+           link, smBusyCycles, smStallCycles, smOccupiedCycles,
+           l1Accesses, l1SectorHits, l2Accesses, l2SectorHits,
+           dramQueueing, linkQueueing, linkBusy, dramBusy] = self;
+    visit("configName", configName);
+    visit("workloadName", workloadName);
+    visit("execCycles", execCycles);
+    visit("execSeconds", execSeconds);
+    visit("instrs", instrs);
+    visit("mem", mem);
+    visit("link", link);
+    visit("smBusyCycles", smBusyCycles);
+    visit("smStallCycles", smStallCycles);
+    visit("smOccupiedCycles", smOccupiedCycles);
+    visit("l1Accesses", l1Accesses);
+    visit("l1SectorHits", l1SectorHits);
+    visit("l2Accesses", l2Accesses);
+    visit("l2SectorHits", l2SectorHits);
+    visit("dramQueueing", dramQueueing);
+    visit("linkQueueing", linkQueueing);
+    visit("linkBusy", linkBusy);
+    visit("dramBusy", dramBusy);
+}
 
 } // namespace mmgpu::sim
 

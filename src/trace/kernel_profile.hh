@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/units.hh"
 #include "isa/opcode.hh"
 
@@ -62,7 +63,18 @@ struct DataSegment
 {
     std::string name;
     Bytes bytes = 0;
+
+    auto operator<=>(const DataSegment &) const = default;
 };
+
+template <FieldsOf<DataSegment> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[name, bytes] = self;
+    visit("name", name);
+    visit("bytes", bytes);
+}
 
 /** Per-iteration access behaviour against one segment. */
 struct SegmentAccess
@@ -103,14 +115,42 @@ struct SegmentAccess
      * how surface-to-volume remote traffic grows with GPM count.
      */
     unsigned haloStride = 64;
+
+    auto operator<=>(const SegmentAccess &) const = default;
 };
+
+template <FieldsOf<SegmentAccess> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[segment, pattern, perIteration, divergence, irregular,
+           haloFraction, haloStride] = self;
+    visit("segment", segment);
+    visit("pattern", pattern);
+    visit("perIteration", perIteration);
+    visit("divergence", divergence);
+    visit("irregular", irregular);
+    visit("haloFraction", haloFraction);
+    visit("haloStride", haloStride);
+}
 
 /** (opcode, count-per-iteration) pair of the compute mix. */
 struct ComputeMix
 {
     isa::Opcode op;
     unsigned perIteration;
+
+    auto operator<=>(const ComputeMix &) const = default;
 };
+
+template <FieldsOf<ComputeMix> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[op, perIteration] = self;
+    visit("op", op);
+    visit("perIteration", perIteration);
+}
 
 /**
  * Full statistical description of one GPU kernel.
@@ -189,7 +229,33 @@ struct KernelProfile
      * contract — a bad profile is a configuration mistake.
      */
     void validate() const;
+
+    auto operator<=>(const KernelProfile &) const = default;
 };
+
+template <FieldsOf<KernelProfile> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[name, cls, ctaCount, warpsPerCta, iterations, launches, mlp,
+           compute, sharedLoadsPerIter, loads, stores, segments, seed,
+           hwKernelSeconds, hwGapSeconds] = self;
+    visit("name", name);
+    visit("cls", cls);
+    visit("ctaCount", ctaCount);
+    visit("warpsPerCta", warpsPerCta);
+    visit("iterations", iterations);
+    visit("launches", launches);
+    visit("mlp", mlp);
+    visit("compute", compute);
+    visit("sharedLoadsPerIter", sharedLoadsPerIter);
+    visit("loads", loads);
+    visit("stores", stores);
+    visit("segments", segments);
+    visit("seed", seed);
+    visit("hwKernelSeconds", hwKernelSeconds);
+    visit("hwGapSeconds", hwGapSeconds);
+}
 
 } // namespace mmgpu::trace
 

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -27,6 +29,17 @@ using namespace mmgpu;
 using namespace mmgpu::harness;
 
 namespace fs = std::filesystem;
+
+/**
+ * Per-process scratch directory: ctest runs this binary's tier2
+ * whole-binary entry concurrently with its per-test entries, and
+ * they must not share files.
+ */
+std::string
+scratchDir(const std::string &name)
+{
+    return name + "." + std::to_string(::getpid());
+}
 
 /** Shared context: calibration runs once for the whole suite. */
 StudyContext &
@@ -87,8 +100,8 @@ TEST(FaultHarness, PoisonedPointIsIsolatedAndReported)
     EXPECT_FALSE(report.ok());
     ASSERT_EQ(report.failures.size(), 1u);
     const PointFailure &failure = report.failures.front();
-    EXPECT_EQ(failure.key.config, config.name);
-    EXPECT_EQ(failure.key.workload, "fh2");
+    EXPECT_TRUE(failure.key.config == config);
+    EXPECT_EQ(failure.key.profile.name, "fh2");
     EXPECT_EQ(failure.error.code, ErrCode::InjectedFault);
     EXPECT_EQ(report.completed, total - 1);
     EXPECT_EQ(runKeyName(failure.key), config.name + "|fh2");
@@ -149,7 +162,7 @@ TEST(FaultHarness, WatchdogCancelsInjectedHang)
     EXPECT_LT(elapsed, 15.0);
     ASSERT_EQ(report.failures.size(), 1u);
     EXPECT_EQ(report.failures.front().error.code, ErrCode::Timeout);
-    EXPECT_EQ(report.failures.front().key.workload, "fh1");
+    EXPECT_EQ(report.failures.front().key.profile.name, "fh1");
     EXPECT_EQ(report.completed, total - 1);
 }
 
@@ -176,8 +189,9 @@ TEST(FaultHarness, ShortHangCompletesWithoutWatchdog)
 
 TEST(FaultHarness, CheckpointedSweepResumesWithoutRecompute)
 {
-    fs::remove_all("fault_harness_scratch");
-    std::string path = "fault_harness_scratch/runs.json";
+    const std::string dir = scratchDir("fault_harness_scratch");
+    fs::remove_all(dir);
+    std::string path = dir + "/runs.json";
     auto config = sim::multiGpmConfig(2, sim::BwSetting::Bw2x);
     auto workloads = sweepWorkloads();
 
@@ -209,7 +223,7 @@ TEST(FaultHarness, CheckpointedSweepResumesWithoutRecompute)
     pool.drain();
     EXPECT_EQ(resumed.hits(), points);
 
-    fs::remove_all("fault_harness_scratch");
+    fs::remove_all(dir);
 }
 
 TEST(FaultHarness, DegradedSweepBitIdenticalAcrossWorkerCounts)

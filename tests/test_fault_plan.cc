@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 
+#include "common/fields.hh"
 #include "fault/fault_plan.hh"
 
 namespace
@@ -39,11 +40,15 @@ TEST(SensorFaultSpec, DefaultCampaignMeetsDocumentedFloor)
     EXPECT_GT(spec.spikeRate, 0.0);
 }
 
-TEST(LinkFaultSpec, DigestIsOrderSensitiveAndZeroWhenEmpty)
+TEST(LinkFaultSpec, IdentityIsOrderSensitive)
 {
+    auto digest = [](const LinkFaultSpec &spec) {
+        Fnv1a hash;
+        hashFields(hash, spec);
+        return hash.digest();
+    };
     LinkFaultSpec empty;
     EXPECT_TRUE(empty.empty());
-    EXPECT_EQ(empty.digest(), 0u);
 
     LinkFaultSpec a;
     a.faults.push_back({0, 0, 0.0});
@@ -51,13 +56,16 @@ TEST(LinkFaultSpec, DigestIsOrderSensitiveAndZeroWhenEmpty)
     LinkFaultSpec b;
     b.faults.push_back({1, 1, 0.5});
     b.faults.push_back({0, 0, 0.0});
-    EXPECT_NE(a.digest(), 0u);
-    EXPECT_EQ(a.digest(), LinkFaultSpec{a}.digest());
-    EXPECT_NE(a.digest(), b.digest());
+    EXPECT_NE(a, empty);
+    EXPECT_NE(digest(a), digest(empty));
+    EXPECT_EQ(digest(a), digest(LinkFaultSpec{a}));
+    EXPECT_NE(a, b);
+    EXPECT_NE(digest(a), digest(b));
 
     LinkFaultSpec derated = a;
     derated.faults[0].capacityScale = 0.25;
-    EXPECT_NE(a.digest(), derated.digest());
+    EXPECT_NE(a, derated);
+    EXPECT_NE(digest(a), digest(derated));
 }
 
 TEST(LinkFault, FailedMeansExactlyZeroCapacity)

@@ -1,16 +1,13 @@
 /**
  * @file
- * Unit tests for JSON emission and the harness report serialization.
+ * Unit tests for JSON emission.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/json.hh"
-#include "harness/report.hh"
 
 namespace
 {
@@ -73,57 +70,6 @@ TEST(JsonDeathTest, SetOnNonObjectPanics)
 {
     JsonValue array = JsonValue::array();
     EXPECT_DEATH(array.set("k", 1), "non-object");
-}
-
-TEST(Report, RunOutcomeSerializes)
-{
-    harness::RunOutcome outcome;
-    outcome.perf.configName = "4-GPM/test";
-    outcome.perf.workloadName = "Stream";
-    outcome.perf.execCycles = 1000.0;
-    outcome.perf.execSeconds = 1e-6;
-    outcome.perf.instrs[static_cast<std::size_t>(
-        isa::Opcode::FADD32)] = 7;
-    outcome.energy.smBusy = 0.5;
-    outcome.energy.constant = 1.5;
-
-    std::string text = harness::toJson(outcome).dump();
-    EXPECT_NE(text.find("\"config\": \"4-GPM/test\""),
-              std::string::npos);
-    EXPECT_NE(text.find("\"add.f32\": 7"), std::string::npos);
-    EXPECT_NE(text.find("\"total_J\": 2"), std::string::npos);
-}
-
-TEST(Report, ScalingPointsSerialize)
-{
-    std::vector<harness::ScalingPoint> points(1);
-    points[0].workload = "BTREE";
-    points[0].cls = trace::WorkloadClass::Compute;
-    points[0].speedup = 3.5;
-    points[0].edpse = 66.0;
-    std::string text = harness::toJson(points).dump();
-    EXPECT_NE(text.find("\"workload\": \"BTREE\""), std::string::npos);
-    EXPECT_NE(text.find("\"class\": \"C\""), std::string::npos);
-    EXPECT_NE(text.find("\"speedup\": 3.5"), std::string::npos);
-}
-
-TEST(Report, WriteJsonRoundTripsToDisk)
-{
-    JsonValue value = JsonValue::object();
-    value.set("answer", 42);
-    std::string path = ::testing::TempDir() + "mmgpu_report.json";
-    ASSERT_TRUE(harness::writeJson(path, value));
-    std::ifstream in(path);
-    std::stringstream buffer;
-    buffer << in.rdbuf();
-    EXPECT_NE(buffer.str().find("\"answer\": 42"), std::string::npos);
-    std::remove(path.c_str());
-}
-
-TEST(Report, WriteJsonFailsGracefully)
-{
-    EXPECT_FALSE(harness::writeJson("/no-such-dir-xyz/report.json",
-                                    JsonValue::object()));
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -24,6 +26,17 @@ namespace
 
 using namespace mmgpu;
 using namespace mmgpu::harness;
+
+/**
+ * Per-process scratch directory: ctest runs this binary's tier2
+ * whole-binary entry concurrently with its per-test entries, and
+ * they must not share files.
+ */
+std::string
+scratchDir(const std::string &name)
+{
+    return name + "." + std::to_string(::getpid());
+}
 
 /** Shared context: calibration runs once for the whole suite. */
 StudyContext &
@@ -79,33 +92,10 @@ sweepConfigs()
 void
 expectIdentical(const RunOutcome &a, const RunOutcome &b)
 {
-    // Bit-exact equality, not tolerance: parallel execution must not
-    // perturb results at all.
-    EXPECT_EQ(a.perf.execCycles, b.perf.execCycles);
-    EXPECT_EQ(a.perf.execSeconds, b.perf.execSeconds);
-    EXPECT_EQ(a.perf.instrs, b.perf.instrs);
-    EXPECT_EQ(a.perf.mem.txns, b.perf.mem.txns);
-    EXPECT_EQ(a.perf.mem.l1SectorMisses, b.perf.mem.l1SectorMisses);
-    EXPECT_EQ(a.perf.mem.l2SectorMisses, b.perf.mem.l2SectorMisses);
-    EXPECT_EQ(a.perf.mem.remoteSectors, b.perf.mem.remoteSectors);
-    EXPECT_EQ(a.perf.mem.localSectors, b.perf.mem.localSectors);
-    EXPECT_EQ(a.perf.link.byteHops, b.perf.link.byteHops);
-    EXPECT_EQ(a.perf.link.messageBytes, b.perf.link.messageBytes);
-    EXPECT_EQ(a.perf.link.transfers, b.perf.link.transfers);
-    EXPECT_EQ(a.perf.link.rerouted, b.perf.link.rerouted);
-    EXPECT_EQ(a.perf.smBusyCycles, b.perf.smBusyCycles);
-    EXPECT_EQ(a.perf.smStallCycles, b.perf.smStallCycles);
-    EXPECT_EQ(a.perf.smOccupiedCycles, b.perf.smOccupiedCycles);
-    EXPECT_EQ(a.perf.dramQueueing, b.perf.dramQueueing);
-    EXPECT_EQ(a.perf.linkQueueing, b.perf.linkQueueing);
-    EXPECT_EQ(a.energy.smBusy, b.energy.smBusy);
-    EXPECT_EQ(a.energy.smIdle, b.energy.smIdle);
-    EXPECT_EQ(a.energy.constant, b.energy.constant);
-    EXPECT_EQ(a.energy.shmToReg, b.energy.shmToReg);
-    EXPECT_EQ(a.energy.l1ToReg, b.energy.l1ToReg);
-    EXPECT_EQ(a.energy.l2ToL1, b.energy.l2ToL1);
-    EXPECT_EQ(a.energy.dramToL2, b.energy.dramToL2);
-    EXPECT_EQ(a.energy.interModule, b.energy.interModule);
+    // Bit-exact equality of every field, not tolerance: parallel
+    // execution must not perturb results at all.
+    EXPECT_TRUE(a.perf == b.perf);
+    EXPECT_TRUE(a.energy == b.energy);
 }
 
 /** Run the whole sweep at @p workers and copy out every outcome. */
@@ -215,8 +205,9 @@ TEST(ParallelRunner, ReferencesStayValidUnderInsertion)
 TEST(ParallelRunner, PersistentCacheRoundTripsBitExactly)
 {
     namespace fs = std::filesystem;
-    fs::remove_all("parallel_runner_scratch");
-    std::string path = "parallel_runner_scratch/runs.json";
+    const std::string dir = scratchDir("parallel_runner_scratch");
+    fs::remove_all(dir);
+    std::string path = dir + "/runs.json";
 
     std::vector<RunOutcome> computed;
     {
@@ -236,7 +227,7 @@ TEST(ParallelRunner, PersistentCacheRoundTripsBitExactly)
     for (std::size_t i = 0; i < warm.size(); ++i)
         expectIdentical(computed[i], warm[i]);
 
-    fs::remove_all("parallel_runner_scratch");
+    fs::remove_all(dir);
 }
 
 TEST(ParallelRunner, EnqueueDeduplicatesWork)

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +32,17 @@ using namespace mmgpu;
 using namespace mmgpu::harness;
 
 namespace fs = std::filesystem;
+
+/**
+ * Per-process scratch directory: ctest runs this binary's tier2
+ * whole-binary entry concurrently with its per-test entries, and
+ * they must not share files.
+ */
+std::string
+scratchDir(const std::string &name)
+{
+    return name + "." + std::to_string(::getpid());
+}
 
 sim::PerfResult
 perfFor(std::uint64_t key)
@@ -52,9 +65,10 @@ energyFor(std::uint64_t key)
 
 TEST(RunCacheConcurrent, SiblingMergeSurvivesConcurrentTruncation)
 {
-    fs::remove_all("run_cache_concurrent_scratch");
-    fs::create_directories("run_cache_concurrent_scratch");
-    std::string path = "run_cache_concurrent_scratch/runs.json";
+    const std::string dir = scratchDir("run_cache_concurrent_scratch");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string path = dir + "/runs.json";
 
     constexpr std::uint64_t rounds = 24;
     RunCache a(path);
@@ -127,14 +141,15 @@ TEST(RunCacheConcurrent, SiblingMergeSurvivesConcurrentTruncation)
     EXPECT_EQ(perf.execCycles, perfFor(1000).execCycles);
     EXPECT_EQ(energy.smBusy, energyFor(1000).smBusy);
 
-    fs::remove_all("run_cache_concurrent_scratch");
+    fs::remove_all(dir);
 }
 
 TEST(RunCacheConcurrent, ManySiblingsFlushingConcurrently)
 {
-    fs::remove_all("run_cache_concurrent_scratch2");
-    fs::create_directories("run_cache_concurrent_scratch2");
-    std::string path = "run_cache_concurrent_scratch2/runs.json";
+    const std::string dir = scratchDir("run_cache_concurrent_scratch2");
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    std::string path = dir + "/runs.json";
 
     constexpr unsigned siblings = 4;
     constexpr std::uint64_t perSibling = 16;
@@ -173,7 +188,7 @@ TEST(RunCacheConcurrent, ManySiblingsFlushingConcurrently)
             EXPECT_TRUE(merged.lookup((s + 1) * 10000 + i, perf,
                                       energy));
 
-    fs::remove_all("run_cache_concurrent_scratch2");
+    fs::remove_all(dir);
 }
 
 } // namespace

@@ -651,11 +651,11 @@ TEST(Placement, BaselinePlacementEquivalentThroughTheMachine)
 TEST(TopologyIdentity, RunKeysSeparateTopologies)
 {
     harness::RunKey ring;
-    ring.config = "8-GPM/custom";
-    ring.workload = "Stream";
-    ring.topology = static_cast<std::uint8_t>(noc::Topology::Ring);
+    ring.config.name = "8-GPM/custom";
+    ring.profile.name = "Stream";
+    ring.config.topology = noc::Topology::Ring;
     harness::RunKey mesh = ring;
-    mesh.topology = static_cast<std::uint8_t>(noc::Topology::Fullmesh);
+    mesh.config.topology = noc::Topology::Fullmesh;
     EXPECT_TRUE(ring < mesh || mesh < ring);
 }
 
