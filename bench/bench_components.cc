@@ -1,11 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the framework's hot components:
- * cache tag lookups, bandwidth-server arbitration, ring routing, warp
- * trace generation, and a small end-to-end simulation. These guard
+ * cache tag lookups, the event calendar (CTA-dispatch bursts and the
+ * 32-GPM steady state), bandwidth-server arbitration, ring routing,
+ * warp trace generation (standalone and through a shared launch
+ * plan), and a small end-to-end simulation. These guard
  * the simulator's own performance (a full Figure 10 sweep is ~200
  * simulations, so the inner loops matter).
  */
+
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -87,6 +91,29 @@ BM_CalendarScheduleBatch(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CalendarScheduleBatch);
+
+void
+BM_CalendarPopSchedule16K(benchmark::State &state)
+{
+    // The event loop's steady state at the 32-GPM warp population:
+    // 16384 resident events, each pop rescheduling its event a few
+    // cycles later, as a warp step does.
+    constexpr unsigned population = 16384;
+    engine::Calendar calendar;
+    calendar.reserve(population);
+    Rng rng(5);
+    for (unsigned i = 0; i < population; ++i)
+        calendar.schedule(static_cast<double>(rng.below(512)), i,
+                          i % 2 == 1);
+    std::uint32_t step = 0;
+    for (auto _ : state) {
+        const engine::Event event = calendar.pop();
+        benchmark::DoNotOptimize(event);
+        calendar.schedule(event.when + 1.0 + (step++ % 97),
+                          event.index, event.isMem);
+    }
+}
+BENCHMARK(BM_CalendarPopSchedule16K);
 
 void
 BM_GenPoolAllocRelease(benchmark::State &state)
@@ -172,6 +199,37 @@ BM_WarpTraceGeneration(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WarpTraceGeneration);
+
+void
+BM_WarpStepSharedPlan(benchmark::State &state)
+{
+    // Op generation as the warp engine drives it: one plan for the
+    // launch, 16384 resident warp states with one flat cursor array,
+    // warps stepped round robin and rebound when they exit.
+    const auto &profile = trace::scalingWorkloads().front();
+    trace::SegmentLayout layout(profile);
+    const trace::WarpTrace::Plan plan(profile, layout, 0);
+    constexpr unsigned warps = 16384;
+    const std::size_t stride = plan.accessCount();
+    std::vector<trace::WarpTrace::State> states(warps);
+    std::vector<trace::WarpTrace::Cursor> cursors(warps * stride);
+    auto start = [&](unsigned w) {
+        plan.start(states[w], &cursors[w * stride],
+                   w / profile.warpsPerCta % profile.ctaCount,
+                   w % profile.warpsPerCta);
+    };
+    for (unsigned w = 0; w < warps; ++w)
+        start(w);
+    unsigned w = 0;
+    for (auto _ : state) {
+        const isa::TraceOp op = plan.next(states[w], &cursors[w * stride]);
+        if (op.kind == isa::TraceOpKind::Exit)
+            start(w);
+        benchmark::DoNotOptimize(op);
+        w = w + 1 == warps ? 0 : w + 1;
+    }
+}
+BENCHMARK(BM_WarpStepSharedPlan);
 
 void
 BM_SmallSimulation(benchmark::State &state)

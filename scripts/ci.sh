@@ -92,7 +92,7 @@ perf_dir="build/perf-smoke"
 mkdir -p "${perf_dir}"
 cmake --build build -j "${jobs}" --target bench_components
 build/bench/bench_components \
-    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess' \
+    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess|WarpStep' \
     --benchmark_min_time=0.1 \
     --benchmark_out="${perf_dir}/microbench.json" \
     --benchmark_out_format=json > /dev/null
@@ -123,6 +123,11 @@ grep -q '"sim/step_mem"' "${perf_dir}/prof.json"
 echo "perf-smoke ok: batch/sequential = $(awk -v s="${seq_ns}" \
     -v b="${batch_ns}" 'BEGIN { printf "%.2f", b / s }'), artifacts" \
     "in ${perf_dir}/"
+# Informational, no threshold: the 32-GPM calendar steady state and
+# op generation through a shared launch plan.
+echo "perf-smoke: calendar pop+schedule @16384 =" \
+    "$(bench_cpu_time BM_CalendarPopSchedule16K) ns," \
+    "warp step via shared plan = $(bench_cpu_time BM_WarpStepSharedPlan) ns"
 
 echo "== Header self-containment =="
 cmake --build build -j "${jobs}" --target header_selfcheck

@@ -4,11 +4,10 @@
  *
  * Every machine in this repository advances by draining one global
  * calendar of timestamped events. The calendar is a binary min-heap
- * (std::push_heap / std::pop_heap over Event::operator>) on an
- * explicit vector rather than a std::priority_queue: the heap
- * operations are exactly the ones priority_queue is specified to
- * perform, so event ordering is bit-identical, while owning the
- * vector lets a build-once machine keep the backing capacity across
+ * on owned storage rather than a std::priority_queue: its heap
+ * operations are exactly the ones priority_queue performs (see
+ * below), so event ordering is bit-identical, while owning the
+ * storage lets a build-once machine keep the backing capacity across
  * launches and runs instead of reallocating it every time.
  *
  * Determinism contract: events are ordered by `when` only. Two
@@ -18,30 +17,52 @@
  * or hashing. Callers that need a specific tie order must encode it
  * in the schedule sequence.
  *
- * The push side is a hand-rolled hole-based sift-up that performs
- * exactly the moves of libstdc++'s __push_heap with std::greater
- * (move the parent down while it compares greater than the new
- * value, then store the value) — so its element placement, and
- * therefore every same-tick pop order, is bit-identical to the
- * std::push_heap the seed used. The strict `>` comparison is also
- * the same-tick fast path: an event due no earlier than its parent
- * (ties included) is placed with a single comparison and no element
- * moves. scheduleBatch() appends a burst then sifts each element in
- * append order; a sift only reads and writes the element's ancestor
- * chain (strictly smaller indices), so later appends are invisible
- * to earlier sifts and the resulting heap is identical to that of
- * element-wise schedule() calls — proven by test, not just argued.
- * The pop side stays on std::pop_heap: its bottom-up hole-adjust
- * places equal keys differently from a naive sift-down, so
- * reimplementing it would silently change tie order.
+ * Both sides are hand-rolled, step-for-step replicas of libstdc++'s
+ * heap algorithms with std::greater, the ones std::push_heap and
+ * std::pop_heap (and so the seed's priority_queue) perform:
+ *
+ *  - push is __push_heap: a hole-based sift-up that moves the parent
+ *    down while it compares strictly greater than the new value. The
+ *    strict `>` is also the same-tick fast path: an event due no
+ *    earlier than its parent (ties included) is placed with one
+ *    comparison and no moves.
+ *  - pop is __pop_heap: the last element becomes the value to place,
+ *    __adjust_heap walks the hole from the root to a leaf always
+ *    taking the smaller child — the right one unless it compares
+ *    strictly greater than the left, so ties go right — takes a lone
+ *    left child at the bottom, then __push_heap sifts the value back
+ *    up from that leaf. This bottom-up hole walk places equal keys
+ *    differently from a textbook sift-down, so it is copied step for
+ *    step: any other walk silently changes tie order.
+ *
+ * So the heap array after every operation is the one the standard
+ * algorithms produce — checked element by element after every
+ * operation against (libstdc++'s) std::push_heap/std::pop_heap on a
+ * plain vector by the randomized differential test in test_engine —
+ * and results no longer depend on which standard library built
+ * them.
+ * scheduleBatch() appends a burst then sifts each element in append
+ * order; a sift only reads and writes the element's ancestor chain
+ * (strictly smaller indices), so later appends are invisible to
+ * earlier sifts and the heap is identical to that of element-wise
+ * schedule() calls.
+ *
+ * Layout: the heap lives 1-based in 64-byte-aligned storage behind
+ * one unused pad element, so heap node i sits at storage index i + 1
+ * and the children of storage index s are 2s and 2s + 1. With 16-byte
+ * events the two children of a node share a half line and its four
+ * grandchildren share one line, which pop() prefetches a level ahead
+ * of the walk.
  */
 
 #ifndef MMGPU_ENGINE_CALENDAR_HH
 #define MMGPU_ENGINE_CALENDAR_HH
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <new>
+#include <span>
 #include <vector>
 
 #include "common/logging.hh"
@@ -68,6 +89,10 @@ struct Event
     }
 };
 
+static_assert(sizeof(Event) == 16,
+              "four events per cache line: the calendar layout "
+              "relies on it");
+
 /**
  * The event calendar plus the simulation clock it implies.
  *
@@ -79,12 +104,14 @@ struct Event
 class Calendar
 {
   public:
+    Calendar() : store_(1) {}
+
     /** Queue an event for @p index's lane at time @p when. */
     void
     schedule(noc::Tick when, std::uint32_t index, bool is_mem)
     {
-        heap_.push_back({when, index, is_mem});
-        siftUp(heap_.size() - 1);
+        store_.push_back({when, index, is_mem});
+        siftUp(store_.size() - 1, store_.back());
     }
 
     /**
@@ -97,17 +124,25 @@ class Calendar
     void
     scheduleBatch(const Event *events, std::size_t count)
     {
-        heap_.insert(heap_.end(), events, events + count);
-        std::size_t size = heap_.size();
-        for (std::size_t i = size - count; i < size; ++i)
-            siftUp(i);
+        store_.insert(store_.end(), events, events + count);
+        std::size_t size = store_.size();
+        for (std::size_t s = size - count; s < size; ++s)
+            siftUp(s, store_[s]);
     }
 
     /** True when no events are pending. */
-    bool empty() const { return heap_.empty(); }
+    bool empty() const { return store_.size() == 1; }
 
     /** Number of pending events (diagnostics and audits). */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return store_.size() - 1; }
+
+    /** The pending events in heap order (diagnostics and tests);
+     *  valid until the next schedule, pop or reset. */
+    std::span<const Event>
+    heap() const
+    {
+        return {store_.data() + 1, pending()};
+    }
 
     /**
      * Pop the earliest event and advance the clock to its time.
@@ -116,10 +151,33 @@ class Calendar
     Event
     pop()
     {
-        mmgpu_assert(!heap_.empty(), "pop from empty calendar");
-        Event event = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        heap_.pop_back();
+        mmgpu_assert(!empty(), "pop from empty calendar");
+        Event *s = store_.data();
+        const Event event = s[1];
+        const Event value = store_.back();
+        store_.pop_back();
+        const std::size_t n = pending();
+        if (n > 0) {
+            // __adjust_heap: walk the hole down to a leaf, always
+            // moving up the smaller child (the right one unless it is
+            // strictly greater), while both children exist...
+            std::size_t hole = 1;
+            while (2 * hole + 1 <= n) {
+                const std::size_t grand = std::min(4 * hole, n);
+                __builtin_prefetch(s + grand);
+                std::size_t child = 2 * hole + 1;
+                child -= s[child].when > s[child - 1].when;
+                s[hole] = s[child];
+                hole = child;
+            }
+            // ...take a lone left child at the bottom...
+            if (2 * hole == n) {
+                s[hole] = s[n];
+                hole = n;
+            }
+            // ...then __push_heap the old last element up from there.
+            siftUp(hole, value);
+        }
         now_ = std::max(now_, event.when);
         return event;
     }
@@ -130,43 +188,72 @@ class Calendar
     /** Clamp the clock from below (start of a launch). */
     void advanceTo(noc::Tick t) { now_ = std::max(now_, t); }
 
-    /** Pre-size the backing vector (capacity survives reset()). */
-    void reserve(std::size_t events) { heap_.reserve(events); }
+    /** Pre-size the backing storage (capacity survives reset()). */
+    void reserve(std::size_t events) { store_.reserve(events + 1); }
 
     /** Drop all pending events and rewind the clock to zero. */
     void
     reset()
     {
-        heap_.clear();
+        store_.resize(1);
         now_ = 0.0;
     }
 
   private:
     /**
-     * Hole-based sift-up, exactly __push_heap's element placement
-     * (see the file comment's determinism argument). The first
-     * comparison doubles as the fast path: events due at or after
-     * their parent — the common future-event case and every
+     * Place @p value at storage index @p hole by __push_heap's
+     * hole-based sift-up (the parent of storage index s is s / 2).
+     * The first comparison doubles as the fast path: events due at
+     * or after their parent — the common future-event case and every
      * same-tick tie — cost one comparison and zero moves.
      */
     void
-    siftUp(std::size_t hole)
+    siftUp(std::size_t hole, Event value)
     {
-        if (hole == 0)
-            return;
-        std::size_t parent = (hole - 1) / 2;
-        if (!(heap_[parent].when > heap_[hole].when))
-            return;
-        Event value = heap_[hole];
-        do {
-            heap_[hole] = heap_[parent];
-            hole = parent;
-            parent = (hole - 1) / 2;
-        } while (hole > 0 && heap_[parent].when > value.when);
-        heap_[hole] = value;
+        Event *s = store_.data();
+        while (hole > 1 && s[hole / 2].when > value.when) {
+            s[hole] = s[hole / 2];
+            hole /= 2;
+        }
+        s[hole] = value;
     }
 
-    std::vector<Event> heap_;
+    /** Allocator of the 64-byte-aligned heap storage. */
+    template <typename T>
+    struct LineAlignedAllocator
+    {
+        using value_type = T;
+        static constexpr std::align_val_t alignment{64};
+
+        LineAlignedAllocator() = default;
+        template <typename U>
+        LineAlignedAllocator(const LineAlignedAllocator<U> &)
+        {
+        }
+
+        T *
+        allocate(std::size_t n)
+        {
+            return static_cast<T *>(
+                ::operator new(n * sizeof(T), alignment));
+        }
+
+        void
+        deallocate(T *p, std::size_t)
+        {
+            ::operator delete(p, alignment);
+        }
+
+        template <typename U>
+        bool
+        operator==(const LineAlignedAllocator<U> &) const
+        {
+            return true;
+        }
+    };
+
+    /** store_[0] is padding; the heap is store_[1..pending()]. */
+    std::vector<Event, LineAlignedAllocator<Event>> store_;
     noc::Tick now_ = 0.0;
 };
 

@@ -22,8 +22,7 @@ WarpEngine::resetRun()
 {
     instrs_.fill(0);
     profile_ = nullptr;
-    launchLayout_ = nullptr;
-    launchIndex_ = 0;
+    plan_.reset();
 }
 
 std::string
@@ -73,8 +72,8 @@ WarpEngine::beginLaunch(const trace::KernelProfile &profile,
     ctaWarpsLeft_.assign(profile.ctaCount, 0);
 
     profile_ = &profile;
-    launchLayout_ = &layout;
-    launchIndex_ = launch;
+    plan_.emplace(profile, layout, launch);
+    cursors_.resize(total_slots * plan_->accessCount());
 
     for (unsigned s = 0; s < total_sms; ++s)
         fillSm(s, start);
@@ -84,7 +83,7 @@ void
 WarpEngine::endLaunch()
 {
     profile_ = nullptr;
-    launchLayout_ = nullptr;
+    plan_.reset();
 }
 
 void
@@ -108,17 +107,11 @@ WarpEngine::fillSm(unsigned sm_id, noc::Tick t)
             unsigned slot_id = freeSlotsPerSm_[sm_id].back();
             freeSlotsPerSm_[sm_id].pop_back();
             WarpSlot &slot = slots_[slot_id];
-            if (slot.trace)
-                slot.trace->reset(profile, *launchLayout_,
-                                  launchIndex_, cta, w);
-            else
-                slot.trace = std::make_unique<trace::WarpTrace>(
-                    profile, *launchLayout_, launchIndex_, cta, w);
+            plan_->start(slot.trace, cursorsOf(slot_id), cta, w);
             slot.sm = sm_id;
             slot.cta = cta;
             slot.outstanding = 0;
             slot.blocked = WarpBlock::None;
-            slot.replay.reset();
             slot.live = true;
             batchScratch_.push_back({t, slot_id, /*isMem=*/false});
         }
@@ -155,13 +148,18 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
     sm::SmCore &core = sms_[slot.sm];
     unsigned gpm = core.gpm();
 
-    isa::TraceOp op;
-    if (slot.replay) {
-        op = *slot.replay;
-        slot.replay.reset();
-    } else {
-        op = slot.trace->next();
+    // Enforce the memory-level-parallelism window: if it is full and
+    // the next op is a global load, park the warp before generating
+    // the load; a load completion wakes it and the same op comes out.
+    if (slot.outstanding >= profile.mlp &&
+        plan_->nextIsGlobalLoad(slot.trace)) {
+        slot.blocked = WarpBlock::Window;
+        core.noteActive(t);
+        hooks_.blockWindow->add();
+        return;
     }
+    const isa::TraceOp op =
+        plan_->next(slot.trace, cursorsOf(slot_index));
 
     switch (op.kind) {
       case isa::TraceOpKind::Compute: {
@@ -204,15 +202,6 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
                      slot_index);
             break;
         }
-        // Enforce the memory-level-parallelism window: if full, park
-        // the warp; a load completion wakes it and the op replays.
-        if (slot.outstanding >= profile.mlp) {
-            slot.replay = op;
-            slot.blocked = WarpBlock::Window;
-            core.noteActive(t);
-            hooks_.blockWindow->add();
-            break;
-        }
         MMGPU_INVARIANT(slot.outstanding < profile.mlp,
                         "MLP window bound violated");
         instrs_[static_cast<std::size_t>(op.op)] += 1;
@@ -244,8 +233,6 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
         break;
       }
       case isa::TraceOpKind::Exit: {
-        // The trace object is kept (dead but allocated) so the next
-        // dispatch into this slot can rebind it without allocating.
         slot.live = false;
         core.releaseSlot(t);
         freeSlotsPerSm_[slot.sm].push_back(slot_index);

@@ -9,13 +9,22 @@
  * stores are handed to the MemPipeline; completions come back
  * through the WarpWaker interface, which wakes parked warps.
  *
- * The slot vector persists across launches and runs (the SM
- * geometry is fixed at construction): a launch leaves every slot
- * dead but keeps its WarpTrace allocation, which fillSm() rebinds in
- * place on the next dispatch. The free-slot lists are rebuilt in
- * slot order each launch so dispatch order never depends on the
- * previous launch's completion order — a prerequisite for
- * bit-identical machine reuse.
+ * Trace generation is split by what varies (trace/warp_trace.hh):
+ * beginLaunch() builds the launch's WarpTrace::Plan once, each slot
+ * holds its warp's fixed-size WarpTrace::State by value (one 64 B
+ * line per slot), and the per-access cursors of every slot live in
+ * one flat array at a stride of Plan::accessCount(). A warp step
+ * therefore touches its slot line, its cursor and the shared plan —
+ * no per-warp heap blocks. A warp whose load window is full parks
+ * before its load is generated (Plan::nextIsGlobalLoad()), so no op
+ * is buffered for replay.
+ *
+ * The slot and cursor arrays persist across launches and runs (the
+ * SM geometry is fixed at construction); fillSm() rebinds a slot in
+ * place on each dispatch. The free-slot lists are rebuilt in slot
+ * order each launch so dispatch order never depends on the previous
+ * launch's completion order — a prerequisite for bit-identical
+ * machine reuse.
  */
 
 #ifndef MMGPU_ENGINE_WARP_ENGINE_HH
@@ -23,7 +32,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -83,16 +91,17 @@ class WarpEngine : public Component, public WarpWaker
 
     /**
      * Prepare launch @p launch of @p profile starting at @p start:
-     * rebuild the free-slot lists, fill the per-GPM CTA queues via
-     * the policy, and dispatch the initial CTAs (pushing each
-     * resident warp's first event at @p start). @p profile and
-     * @p layout must stay alive until endLaunch().
+     * build the launch's trace plan, rebuild the free-slot lists,
+     * fill the per-GPM CTA queues via the policy, and dispatch the
+     * initial CTAs (pushing each resident warp's first event at
+     * @p start). @p profile must stay alive until endLaunch(); the
+     * plan copies what it needs of @p layout.
      */
     void beginLaunch(const trace::KernelProfile &profile,
                      const trace::SegmentLayout &layout,
                      unsigned launch, noc::Tick start);
 
-    /** Drop the launch-scoped profile/layout references. */
+    /** Drop the launch-scoped profile reference and plan. */
     void endLaunch();
 
     /** Process one warp continuation for @p slot_index at @p t. */
@@ -134,17 +143,25 @@ class WarpEngine : public Component, public WarpWaker
         Drain,  //!< waiting for all outstanding loads (final sync)
     };
 
-    /** A resident warp context bound to an SM warp slot. */
-    struct WarpSlot
+    /** A resident warp context bound to an SM warp slot: one cache
+     *  line, so a warp step reads one line of slot state. */
+    struct alignas(64) WarpSlot
     {
-        std::unique_ptr<trace::WarpTrace> trace;
+        trace::WarpTrace::State trace;
         unsigned sm = 0; //!< flat SM id
         unsigned cta = 0;
         unsigned outstanding = 0; //!< loads in flight
         WarpBlock blocked = WarpBlock::None;
-        std::optional<isa::TraceOp> replay;
         bool live = false;
     };
+    static_assert(sizeof(WarpSlot) == 64, "a warp slot is one line");
+
+    /** The access cursors of slot @p slot_index. */
+    trace::WarpTrace::Cursor *
+    cursorsOf(std::uint32_t slot_index)
+    {
+        return cursors_.data() + slot_index * plan_->accessCount();
+    }
 
     void pushWarp(noc::Tick when, std::uint32_t slot);
 
@@ -169,10 +186,11 @@ class WarpEngine : public Component, public WarpWaker
     unsigned gpmCount_;
 
     // Per-launch transient state. The containers persist across
-    // launches and runs so their backing storage (and the WarpTrace
-    // objects inside the slots) is allocated once and reused;
-    // beginLaunch() re-initializes the *contents* each launch.
+    // launches and runs so their backing storage is allocated once
+    // and reused; beginLaunch() re-initializes the *contents* each
+    // launch.
     std::vector<WarpSlot> slots_;
+    std::vector<trace::WarpTrace::Cursor> cursors_; //!< per slot, flat
     std::vector<std::vector<unsigned>> freeSlotsPerSm_;
     std::vector<sm::GpmCtaQueue> ctaQueues_;
     std::vector<unsigned> ctaWarpsLeft_;
@@ -180,8 +198,7 @@ class WarpEngine : public Component, public WarpWaker
 
     /** Launch-scoped context for CTA backfill from step(). */
     const trace::KernelProfile *profile_ = nullptr;
-    const trace::SegmentLayout *launchLayout_ = nullptr;
-    unsigned launchIndex_ = 0;
+    std::optional<trace::WarpTrace::Plan> plan_;
 
     std::array<Count, isa::numOpcodes> instrs_{};
 

@@ -20,7 +20,7 @@ SectoredCache::SectoredCache(std::string name, Bytes capacity_bytes,
         setMask_ = sets - 1;
     tagLru_.assign(line_count * 2, 0);
     for (std::size_t set = 0; set < sets; ++set) {
-        std::uint64_t *tags = setTags(set);
+        Word *tags = setTags(set);
         for (unsigned w = 0; w < ways; ++w)
             tags[w] = invalidTag;
     }
@@ -28,8 +28,7 @@ SectoredCache::SectoredCache(std::string name, Bytes capacity_bytes,
 }
 
 unsigned
-SectoredCache::findVictim(const std::uint64_t *tags,
-                          const std::uint64_t *last) const
+SectoredCache::findVictim(const Word *tags, const Word *last) const
 {
     // Same selection as scanning an array of line structs: the first
     // invalid way short-circuits; otherwise the strictly smallest
@@ -39,7 +38,7 @@ SectoredCache::findVictim(const std::uint64_t *tags,
     // over LRU stamps is data-dependent and mispredicts constantly
     // in a miss-heavy set.
     unsigned victim = 0;
-    std::uint64_t best = last[0];
+    Word best = last[0];
     for (unsigned w = 0; w < ways; ++w) {
         if (tags[w] == invalidTag)
             return w; // free way
@@ -57,10 +56,16 @@ SectoredCache::access(std::uint64_t addr, SectorMask sectors,
     mmgpu_assert(sectors != 0 && sectors <= fullLineMask,
                  "bad sector mask");
 
-    std::uint64_t tag = addr / isa::cacheLineBytes;
+    const std::uint64_t line = addr / isa::cacheLineBytes;
+    if (line >= maxLineAddress)
+        mmgpu_panic("cache '", name_, "': address ", addr,
+                    " beyond the 32-bit line-address space");
+    if (useClock == invalidTag)
+        mmgpu_panic("cache '", name_, "': LRU clock would wrap");
+    const auto tag = static_cast<Word>(line);
     std::size_t set = setOf(tag);
-    std::uint64_t *tags = setTags(set);
-    std::uint64_t *last = tags + ways;
+    Word *tags = setTags(set);
+    Word *last = tags + ways;
 
     CacheAccessResult result;
     ++accesses_;
@@ -89,7 +94,8 @@ SectoredCache::access(std::uint64_t addr, SectorMask sectors,
     Meta &meta = meta_[set * ways + victim];
     if (tags[victim] != invalidTag && meta.dirty) {
         result.writebackMask = meta.dirty;
-        result.writebackAddr = tags[victim] * isa::cacheLineBytes;
+        result.writebackAddr =
+            std::uint64_t{tags[victim]} * isa::cacheLineBytes;
     }
     tags[victim] = tag;
     meta.valid = sectors;
@@ -105,11 +111,10 @@ SectoredCache::access(std::uint64_t addr, SectorMask sectors,
 void
 SectoredCache::assertResident(std::uint64_t addr) const
 {
-    std::uint64_t tag = addr / isa::cacheLineBytes;
-    std::size_t set = setOf(tag);
-    const std::uint64_t *tags = setTags(set);
+    std::uint64_t line = addr / isa::cacheLineBytes;
+    const Word *tags = setTags(setOf(line));
     for (unsigned w = 0; w < ways; ++w) {
-        if (tags[w] == tag)
+        if (tags[w] == line)
             return;
     }
     mmgpu_panic("line ", addr, " not resident in ", name_);
@@ -127,7 +132,7 @@ SectoredCache::cleanDirty(
     std::vector<std::pair<std::uint64_t, SectorMask>> *writebacks)
 {
     for (std::size_t set = 0; set < sets; ++set) {
-        const std::uint64_t *tags = setTags(set);
+        const Word *tags = setTags(set);
         for (unsigned w = 0; w < ways; ++w) {
             if (tags[w] == invalidTag)
                 continue;
@@ -135,8 +140,9 @@ SectoredCache::cleanDirty(
             if (!meta.dirty)
                 continue;
             if (writebacks)
-                writebacks->emplace_back(tags[w] * isa::cacheLineBytes,
-                                         meta.dirty);
+                writebacks->emplace_back(
+                    std::uint64_t{tags[w]} * isa::cacheLineBytes,
+                    meta.dirty);
             meta.dirty = 0;
         }
     }
@@ -158,7 +164,7 @@ SectoredCache::reset()
     // rewinding useClock while invalidating every line reproduces
     // the as-constructed replacement behaviour exactly.
     for (std::size_t set = 0; set < sets; ++set) {
-        std::uint64_t *tags = setTags(set);
+        Word *tags = setTags(set);
         for (unsigned w = 0; w < ways; ++w) {
             tags[w] = invalidTag;
             tags[ways + w] = 0;

@@ -11,6 +11,13 @@
  *
  * The model is purely functional (hit/miss/eviction); timing and
  * bandwidth live in the memory system that drives it.
+ *
+ * Tags (line addresses) and LRU stamps are stored as 32-bit words,
+ * which halves the bytes a probe touches. Two loud guards keep that
+ * exact: access() panics on a line address at or above
+ * maxLineAddress (512 GiB of byte address space; GpuSim::run()
+ * checks a profile's whole address space once per run) and before
+ * the LRU clock would wrap (about 2^32 accesses since reset()).
  */
 
 #ifndef MMGPU_MEM_CACHE_HH
@@ -79,6 +86,16 @@ struct CacheAccessResult
 class SectoredCache
 {
   public:
+    /** Tag/LRU-stamp lane word. */
+    using Word = std::uint32_t;
+
+    /** Tag value of an invalid line; no accepted address maps to it,
+     *  so probes need no separate valid check. */
+    static constexpr Word invalidTag = ~Word{0};
+
+    /** Line addresses (byte address / 128) must stay below this. */
+    static constexpr std::uint64_t maxLineAddress = invalidTag;
+
     /**
      * @param name Diagnostic name.
      * @param capacity_bytes Total data capacity; must be a multiple
@@ -130,11 +147,12 @@ class SectoredCache
             std::vector<std::pair<std::uint64_t, SectorMask>> *writebacks)
     {
         for (std::size_t set = 0; set < sets; ++set) {
-            std::uint64_t *tags = setTags(set);
+            Word *tags = setTags(set);
             for (unsigned w = 0; w < ways; ++w) {
                 if (tags[w] == invalidTag)
                     continue;
-                std::uint64_t addr = tags[w] * isa::cacheLineBytes;
+                std::uint64_t addr =
+                    std::uint64_t{tags[w]} * isa::cacheLineBytes;
                 if (!predicate(addr))
                     continue;
                 Meta &meta = meta_[set * ways + w];
@@ -183,10 +201,10 @@ class SectoredCache
   private:
     /**
      * Set-blocked tag-array layout: each set owns one contiguous
-     * block of 2 * ways u64 — its tag lane followed by its LRU-stamp
-     * lane. The probe loop — by far the hottest code in the memory
-     * model — scans only the 8-byte tag lane (two cache lines for a
-     * 16-way L2 instead of the six an array-of-Line layout costs),
+     * block of 2 * ways 32-bit words — its tag lane followed by its
+     * LRU-stamp lane. The probe loop — by far the hottest code in the
+     * memory model — scans only the 4-byte tag lane (64 B for a
+     * 16-way L2 instead of the 384 B an array-of-Line layout costs),
      * the valid bit is folded into the tag as a sentinel so a probe
      * is one integer compare per way, and because the LRU lane sits
      * right behind the tag lane, a miss's victim scan stays inside
@@ -202,17 +220,13 @@ class SectoredCache
         SectorMask dirty = 0;
     };
 
-    /** Tag value of an invalid line; no reachable address maps to
-     *  it, so probes need no separate valid check. */
-    static constexpr std::uint64_t invalidTag = ~std::uint64_t{0};
-
     /** Tag lane of @p set (its LRU lane starts @c ways behind it). */
-    std::uint64_t *
+    Word *
     setTags(std::size_t set)
     {
         return &tagLru_[set * 2 * ways];
     }
-    const std::uint64_t *
+    const Word *
     setTags(std::size_t set) const
     {
         return &tagLru_[set * 2 * ways];
@@ -221,8 +235,7 @@ class SectoredCache
     /** Victim way of the set with tag lane @p tags / LRU lane
      *  @p last — the first invalid way, else the least-recently-used
      *  one (earliest way on ties). */
-    unsigned findVictim(const std::uint64_t *tags,
-                        const std::uint64_t *last) const;
+    unsigned findVictim(const Word *tags, const Word *last) const;
 
     /** Set index of @p tag: single AND when the set count is a power
      *  of two (it always is for real L1/L2 geometries — a 64-bit
@@ -238,9 +251,12 @@ class SectoredCache
     unsigned sets;
     unsigned ways;
     std::uint64_t setMask_ = 0; //!< sets - 1 if pow2, else 0 (use %)
-    std::vector<std::uint64_t> tagLru_; //!< per set: tags, LRU stamps
-    std::vector<Meta> meta_;            //!< sector valid/dirty masks
-    std::uint64_t useClock = 1;
+    /** Tests move the LRU clock next to its limit. */
+    friend struct SectoredCacheTestPeer;
+
+    std::vector<Word> tagLru_; //!< per set: tags, LRU stamps
+    std::vector<Meta> meta_;   //!< sector valid/dirty masks
+    Word useClock = 1;
     Count accesses_ = 0;
     Count hits_ = 0;
     Count sectorHits_ = 0;

@@ -5,6 +5,7 @@
 #include "common/contract.hh"
 #include "common/logging.hh"
 #include "common/prof.hh"
+#include "mem/cache.hh"
 
 namespace mmgpu::sim
 {
@@ -205,6 +206,12 @@ GpuSim::run(const trace::KernelProfile &profile)
         clearTelemetryHooks();
 
     trace::SegmentLayout layout(profile);
+    // The caches keep 32-bit line addresses: check the whole address
+    // space once here rather than fail on some access mid-run.
+    if (layout.end() > mem::SectoredCache::maxLineAddress *
+                           isa::cacheLineBytes)
+        mmgpu_fatal("profile '", profile.name, "' maps ", layout.end(),
+                    " bytes, beyond the caches' 32-bit line addresses");
     {
         MMGPU_PROF_SCOPE("sim/preplace");
         prePlacePages(profile, layout);

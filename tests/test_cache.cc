@@ -3,9 +3,29 @@
  * Unit tests for the sectored set-associative cache.
  */
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+
+namespace mmgpu::mem
+{
+
+/** Moves a cache's LRU clock next to its limit, which otherwise
+ *  takes about 2^32 accesses to reach. */
+struct SectoredCacheTestPeer
+{
+    static void
+    setClock(SectoredCache &cache, SectoredCache::Word clock)
+    {
+        cache.useClock = clock;
+    }
+};
+
+} // namespace mmgpu::mem
 
 namespace
 {
@@ -147,6 +167,42 @@ TEST(CacheDeathTest, RejectsIndivisibleCapacity)
 {
     EXPECT_EXIT(SectoredCache("bad", 100, 3),
                 ::testing::ExitedWithCode(1), "not divisible");
+}
+
+TEST(CacheDeathTest, LineAddressBeyondTheTagLaneFailsLoudly)
+{
+    // Tags are 32-bit line addresses: the last one below the
+    // invalid-tag sentinel is accepted and round-trips as a
+    // writeback address; the sentinel itself and anything above it
+    // must not alias a smaller line.
+    SectoredCache cache("c", 4096, 2);
+    const std::uint64_t last_line =
+        (SectoredCache::maxLineAddress - 1) * isa::cacheLineBytes;
+    cache.access(last_line, fullLineMask, true);
+    std::vector<std::pair<std::uint64_t, SectorMask>> writebacks;
+    cache.flushAll(&writebacks);
+    ASSERT_EQ(writebacks.size(), 1u);
+    EXPECT_EQ(writebacks[0].first, last_line);
+
+    EXPECT_DEATH(cache.access(last_line + isa::cacheLineBytes,
+                              fullLineMask, false),
+                 "32-bit line-address");
+    EXPECT_DEATH(cache.access(std::uint64_t{1} << 48, fullLineMask,
+                              false),
+                 "32-bit line-address");
+}
+
+TEST(CacheDeathTest, LruClockThatWouldWrapFailsLoudly)
+{
+    SectoredCache cache("c", 4096, 2);
+    SectoredCacheTestPeer::setClock(cache, SectoredCache::invalidTag - 1);
+    cache.access(0, fullLineMask, false); // the last stamp it can give
+    EXPECT_DEATH(cache.access(0, fullLineMask, false),
+                 "LRU clock would wrap");
+    // reset() rewinds the clock.
+    cache.reset();
+    EXPECT_EQ(cache.access(0, fullLineMask, false).missMask,
+              fullLineMask);
 }
 
 } // namespace

@@ -7,10 +7,13 @@
  * The calendar tests pin down the determinism contract the machine
  * depends on for bit-identical runs: event order is a pure function
  * of the schedule()/pop() call sequence (verified against the
- * std::priority_queue the seed implementation used), and reset()
- * restores a state indistinguishable from freshly constructed.
+ * std::priority_queue the seed implementation used, and the whole
+ * heap array against std::push_heap/std::pop_heap after every
+ * operation), and reset() restores a state indistinguishable from
+ * freshly constructed.
  */
 
+#include <algorithm>
 #include <functional>
 #include <queue>
 #include <string>
@@ -282,6 +285,76 @@ TEST(Calendar, ScheduleBatchOfZeroEventsIsANoOp)
     calendar.scheduleBatch(nullptr, 0);
     EXPECT_EQ(calendar.pending(), 1u);
     EXPECT_EQ(calendar.pop().index, 0u);
+}
+
+TEST(Calendar, HeapArrayMatchesStdHeapAfterEveryOperation)
+{
+    // Differential test of the hand-written heap against the
+    // standard heap algorithms on a plain vector: schedule() is
+    // push_back + std::push_heap, scheduleBatch() is that per event,
+    // pop() is std::pop_heap + pop_back, reset() is clear. The whole
+    // heap array — not only the pop order — must match after every
+    // operation, under heavy same-tick ties and growth far past the
+    // reserved capacity.
+    Calendar calendar;
+    calendar.reserve(8);
+    std::vector<Event> reference;
+    std::uint64_t lcg = 2024;
+    auto next = [&lcg]() {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<std::uint32_t>(lcg >> 33);
+    };
+    auto push_reference = [&reference](const Event &event) {
+        reference.push_back(event);
+        std::push_heap(reference.begin(), reference.end(),
+                       std::greater<>{});
+    };
+    std::uint32_t serial = 0;
+    // Six distinct ticks, a few with a half-tick offset: most
+    // events tie with many others.
+    auto when = [&next]() {
+        return static_cast<double>(next() % 6) +
+               (next() % 4 == 0 ? 0.5 : 0.0);
+    };
+    std::size_t peak = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint32_t roll = next() % 1000;
+        if (roll < 400) {
+            const Event event{when(), serial++, (next() & 1) != 0};
+            calendar.schedule(event.when, event.index, event.isMem);
+            push_reference(event);
+        } else if (roll < 550) {
+            std::vector<Event> burst(1 + next() % 16);
+            for (Event &event : burst)
+                event = {when(), serial++, (next() & 1) != 0};
+            calendar.scheduleBatch(burst.data(), burst.size());
+            for (const Event &event : burst)
+                push_reference(event);
+        } else if (roll < 998) {
+            if (reference.empty())
+                continue;
+            const Event ours = calendar.pop();
+            std::pop_heap(reference.begin(), reference.end(),
+                          std::greater<>{});
+            const Event theirs = reference.back();
+            reference.pop_back();
+            ASSERT_EQ(ours.index, theirs.index) << "step " << step;
+            ASSERT_EQ(ours.when, theirs.when) << "step " << step;
+        } else {
+            calendar.reset();
+            reference.clear();
+        }
+        peak = std::max(peak, reference.size());
+        const auto heap = calendar.heap();
+        ASSERT_EQ(heap.size(), reference.size()) << "step " << step;
+        for (std::size_t i = 0; i < heap.size(); ++i) {
+            ASSERT_EQ(heap[i].index, reference[i].index)
+                << "heap slot " << i << " at step " << step;
+            ASSERT_EQ(heap[i].when, reference[i].when);
+            ASSERT_EQ(heap[i].isMem, reference[i].isMem);
+        }
+    }
+    EXPECT_GT(peak, 1000u); // grew well past reserve()
 }
 
 // ------------------------------------------------------------- //

@@ -85,8 +85,8 @@ TEST(Prof, ProfScopeMacroTimesTheEnclosingScope)
     };
     timed();
     timed();
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/macro_scope");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/macro_scope");
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->calls, 2u);
     EXPECT_GE(snap->inclusiveNs, 2u * 1000000u);
@@ -96,8 +96,8 @@ TEST(Prof, CountMacroAccumulatesWithoutTiming)
 {
     for (int i = 0; i < 5; ++i)
         MMGPU_PROF_COUNT("test/count_macro", 2);
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/count_macro");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/count_macro");
     ASSERT_NE(snap, nullptr);
     EXPECT_EQ(snap->count, 10u);
     EXPECT_EQ(snap->calls, 0u);
@@ -109,8 +109,8 @@ TEST(Prof, DynamicSiteIsStableAndSharedPerLabel)
     prof::Site *b = prof::dynamicSite("test/dynamic7");
     ASSERT_EQ(a, b);
     a->addSample(100, 100);
-    const prof::SiteSnapshot *snap =
-        find(prof::snapshot(), "test/dynamic7");
+    const std::vector<prof::SiteSnapshot> sites = prof::snapshot();
+    const prof::SiteSnapshot *snap = find(sites, "test/dynamic7");
     ASSERT_NE(snap, nullptr);
     EXPECT_GE(snap->calls, 1u);
 }

@@ -4,6 +4,8 @@
  * over randomized inputs and over the cross product of model knobs.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
@@ -197,6 +199,18 @@ struct SimPoint
     trace::AccessPattern pattern;
     unsigned gpms;
 };
+
+/** Names the case after its point (e.g. Stencil_4gpm): gtest would
+ *  print the raw bytes, padding included, giving unstable names. */
+void
+PrintTo(const SimPoint &point, std::ostream *os)
+{
+    // In AccessPattern's declaration order.
+    static const char *const names[] = {"BlockStream", "Stencil",
+                                        "Random", "Chase", "Broadcast"};
+    *os << names[static_cast<unsigned>(point.pattern)] << '_'
+        << point.gpms << "gpm";
+}
 
 class SimProperty : public ::testing::TestWithParam<SimPoint>
 {

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "trace/warp_trace.hh"
+#include "trace/workloads.hh"
 
 namespace
 {
@@ -235,6 +239,88 @@ TEST(WarpTrace, BlockStreamRepeatsAcrossLaunches)
         if (ops0[i].kind == TraceOpKind::Load) {
             EXPECT_EQ(ops0[i].addr, ops1[i].addr);
         }
+    }
+}
+
+// ------------------------------------------------------------- //
+// Trace parity: the full op stream of a fixed set of warps of every
+// catalog workload, pinned by digest. Trace generation feeds every
+// simulated result, so any change to its draw order, address
+// arithmetic or schedule shows here without running the simulator.
+
+/** Fnv1a over every field of every op up to and including Exit. */
+std::uint64_t
+streamDigest(const KernelProfile &profile, const SegmentLayout &layout,
+             unsigned launch, unsigned cta, unsigned warp)
+{
+    WarpTrace trace(profile, layout, launch, cta, warp);
+    Fnv1a hash;
+    std::uint64_t count = 0;
+    for (;;) {
+        const TraceOp op = trace.next();
+        hash.add(static_cast<std::uint64_t>(op.kind))
+            .add(static_cast<std::uint64_t>(op.op))
+            .add(op.addr)
+            .add(static_cast<std::uint64_t>(op.sectors));
+        ++count;
+        if (op.kind == TraceOpKind::Exit)
+            break;
+    }
+    return hash.add(count).digest();
+}
+
+/** Digest of five (launch, cta, warp) triples of @p profile: both
+ *  ends and the middle of the grid, at three launch indices. */
+std::uint64_t
+profileDigest(const KernelProfile &profile)
+{
+    const SegmentLayout layout(profile);
+    const unsigned last_cta = profile.ctaCount - 1;
+    const unsigned last_warp = profile.warpsPerCta - 1;
+    const unsigned triples[][3] = {
+        {0, 0, 0},
+        {0, last_cta, last_warp},
+        {1, profile.ctaCount / 2, last_warp},
+        {2, 1 % profile.ctaCount, profile.warpsPerCta / 2},
+        {1, profile.ctaCount > 1 ? last_cta - 1 : 0, 0},
+    };
+    Fnv1a hash;
+    for (const auto &[launch, cta, warp] : triples)
+        hash.add(streamDigest(profile, layout, launch, cta, warp));
+    return hash.digest();
+}
+
+TEST(WarpTraceParity, CatalogStreamsMatchPinnedDigests)
+{
+    // Recorded from the generator before its state was split into a
+    // shared per-launch plan and per-warp state; regenerate only for
+    // a change that is meant to change the simulated application.
+    const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+        {"BPROP", 0x238552c58a607c07ull},
+        {"BTREE", 0x018cbbd0ae54cadcull},
+        {"CoMD", 0xea7ad4f89945608aull},
+        {"Hotspot", 0xd1d19ed5c359e52bull},
+        {"LuleshUns", 0xb10b012bc409f7e0ull},
+        {"PathF", 0x48a6441c35ab3acaull},
+        {"RSBench", 0x90e6e41526150f20ull},
+        {"Srad-v1", 0xf80f4957eb9512c5ull},
+        {"MiniAMR", 0xa7c0274cec6647c9ull},
+        {"BFS", 0xa9028545651abb20ull},
+        {"Kmeans", 0xf8e6c07ffa4f5986ull},
+        {"Lulesh-150", 0xa9207cb2820c6e54ull},
+        {"Lulesh-190", 0x46f6fc2901e44eefull},
+        {"Nekbone-12", 0xcce5040c106f39b7ull},
+        {"Nekbone-18", 0x42e1d7de50219453ull},
+        {"MnCtct", 0xeacb2282356e542aull},
+        {"Srad-v2", 0x45b4684ad8829f2cull},
+        {"Stream", 0xe71e59817407ebffull},
+    };
+    const auto &catalog = allWorkloads();
+    ASSERT_EQ(pinned.size(), catalog.size());
+    for (std::size_t i = 0; i < catalog.size(); ++i) {
+        EXPECT_EQ(catalog[i].name, pinned[i].first);
+        EXPECT_EQ(profileDigest(catalog[i]), pinned[i].second)
+            << catalog[i].name;
     }
 }
 
