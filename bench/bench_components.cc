@@ -69,30 +69,6 @@ BM_CalendarScheduleSequential(benchmark::State &state)
 BENCHMARK(BM_CalendarScheduleSequential);
 
 void
-BM_CalendarScheduleBatch(benchmark::State &state)
-{
-    // Same load as BM_CalendarScheduleSequential, but each burst
-    // lands via one scheduleBatch() call (the fillSm fast path).
-    engine::Calendar calendar;
-    Rng rng(3);
-    double t = 0.0;
-    for (unsigned i = 0; i < 1024; ++i)
-        calendar.schedule(static_cast<double>(rng.below(64)), i,
-                          false);
-    engine::Event burst[8];
-    for (auto _ : state) {
-        t += 1.0;
-        for (std::uint32_t w = 0; w < 8; ++w)
-            burst[w] = {t + static_cast<double>(rng.below(4)), w,
-                        false};
-        calendar.scheduleBatch(burst, 8);
-        for (unsigned p = 0; p < 8; ++p)
-            benchmark::DoNotOptimize(calendar.pop());
-    }
-}
-BENCHMARK(BM_CalendarScheduleBatch);
-
-void
 BM_CalendarPopSchedule16K(benchmark::State &state)
 {
     // The event loop's steady state at the 32-GPM warp population:

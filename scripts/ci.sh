@@ -14,8 +14,8 @@
 #                     analysis of the MMGPU_* annotations; skipped
 #                     when clang++ is not on PATH
 #   perf-smoke        component microbenches once + a profiler JSON
-#                     artifact; ratio sanity-checks only, no absolute
-#                     wall-clock thresholds (CI hosts drift)
+#                     artifact; times printed, no wall-clock
+#                     thresholds (CI hosts drift)
 #
 #   build           Release            tier1 (the ROADMAP verify gate;
 #                                      includes the engine-layer tests
@@ -85,9 +85,8 @@ fi
 
 echo "== perf-smoke (microbenches + profiler artifact) =="
 # One pass over the component microbenches plus a profiled run.
-# Deliberately NO absolute wall-clock thresholds — CI hosts drift —
-# only ratio sanity-checks between benchmarks measured seconds apart
-# on the same host, with generous slack for scheduler noise.
+# Deliberately NO wall-clock thresholds — CI hosts drift — the times
+# are printed for the log only.
 perf_dir="build/perf-smoke"
 mkdir -p "${perf_dir}"
 cmake --build build -j "${jobs}" --target bench_components
@@ -102,16 +101,6 @@ bench_cpu_time() {
          found && /"cpu_time"/ { gsub(/[ ,]/, "", $2); print $2; exit }' \
         "${perf_dir}/microbench.json"
 }
-seq_ns="$(bench_cpu_time BM_CalendarScheduleSequential)"
-batch_ns="$(bench_cpu_time BM_CalendarScheduleBatch)"
-[[ -n "${seq_ns}" && -n "${batch_ns}" ]]
-# scheduleBatch must not lose to element-wise schedule (10% slack).
-awk -v s="${seq_ns}" -v b="${batch_ns}" \
-    'BEGIN { exit !(b <= s * 1.10) }' || {
-    echo "perf-smoke: scheduleBatch (${batch_ns} ns) slower than" \
-         "element-wise schedule (${seq_ns} ns)" >&2
-    exit 1
-}
 # Profiler artifact: an armed run must produce parseable aggregates
 # for the event loop. The run cache must be bypassed — a cached
 # design point skips simulation entirely and profiles as empty.
@@ -120,12 +109,13 @@ MMGPU_NO_CACHE=1 MMGPU_PROFILE=1 build/examples/mmgpu_cli \
     --prof-out "${perf_dir}/prof.json" > /dev/null 2>&1
 grep -q '"sim/step_warp"' "${perf_dir}/prof.json"
 grep -q '"sim/step_mem"' "${perf_dir}/prof.json"
-echo "perf-smoke ok: batch/sequential = $(awk -v s="${seq_ns}" \
-    -v b="${batch_ns}" 'BEGIN { printf "%.2f", b / s }'), artifacts" \
-    "in ${perf_dir}/"
-# Informational, no threshold: the 32-GPM calendar steady state and
-# op generation through a shared launch plan.
-echo "perf-smoke: calendar pop+schedule @16384 =" \
+echo "perf-smoke ok: artifacts in ${perf_dir}/"
+# Informational, no threshold: CTA-dispatch bursts, the 32-GPM
+# calendar steady state and op generation through a shared launch
+# plan.
+echo "perf-smoke: calendar burst =" \
+    "$(bench_cpu_time BM_CalendarScheduleSequential) ns," \
+    "calendar pop+schedule @16384 =" \
     "$(bench_cpu_time BM_CalendarPopSchedule16K) ns," \
     "warp step via shared plan = $(bench_cpu_time BM_WarpStepSharedPlan) ns"
 
@@ -218,9 +208,8 @@ echo "== Serve chaos smoke (ASan daemon under injected faults) =="
 # must reconnect and re-ask). The soak exits nonzero on any
 # client-visible error, and the verify pass must still be
 # bit-identical to in-process recomputation — self-healing may never
-# change answers. detect_leaks=0: the crash path longjmps out of the
-# interrupted frames, deliberately abandoning their allocations.
-ASAN_OPTIONS=detect_leaks=0 \
+# change answers. Leak detection stays on: a crash unwinds the
+# interrupted frames, so it may not leak.
 MMGPU_FAULT_SERVE_CRASH_EVERY=5 \
 MMGPU_FAULT_SERVE_CONN_RESET_EVERY=7 \
 build-asan/examples/mmgpu_serve --socket "${serve_dir}/chaos.sock" &

@@ -169,9 +169,9 @@ recordEdge(std::uint32_t prev, std::uint32_t id)
         cycle = describeCycle(reg, prev, id);
         warnOnce = reg.reported.emplace(prev, id).second;
     }
-    // Report outside the registry lock: a panic trap (serve shard
-    // supervision) longjmps out of mmgpu_panic and would leave the
-    // registry mutex held forever.
+    // Report outside the registry lock: warn() and mmgpu_panic take
+    // the log mutex and write to stderr, which the registry lock,
+    // taken on every first-seen lock pair, should not wait on.
     if (contract::auditsEnabled) {
         mmgpu_panic("lockdep: lock-order inversion — acquiring ",
                     cycle);

@@ -18,8 +18,8 @@
  *   level 1   warn() once per offending edge and count it
  *             (lockdepCycleCount() — tests assert on this)
  *   level 2   mmgpu_panic with both sides of the cycle — a death in
- *             tests, or a supervised shard crash where a thread
- *             panic trap is installed (serve tier)
+ *             tests, or a supervised shard crash inside a
+ *             PanicScope (serve tier)
  *
  * Graph nodes are mutex *instances* (monotonic ids, never reused);
  * a destroyed mutex removes its edges so short-lived locks (one per

@@ -21,10 +21,8 @@ logMutex()
     return mutex;
 }
 
-// Per-thread supervision hook; see setThreadPanicTrap() in the
-// header. A plain function pointer (not std::function) so installing
-// and clearing it is trivially async-signal-tolerant.
-thread_local void (*panicTrap)(const std::string &) = nullptr;
+// Live PanicScopes on this thread; panics throw while it is nonzero.
+thread_local unsigned panicScopeDepth = 0;
 
 } // namespace
 
@@ -34,10 +32,14 @@ setInformEnabled(bool enabled)
     informEnabled.store(enabled, std::memory_order_relaxed);
 }
 
-void
-setThreadPanicTrap(void (*trap)(const std::string &msg))
+PanicScope::PanicScope()
 {
-    panicTrap = trap;
+    ++panicScopeDepth;
+}
+
+PanicScope::~PanicScope()
+{
+    --panicScopeDepth;
 }
 
 namespace detail
@@ -51,13 +53,8 @@ panicImpl(const char *file, int line, const std::string &msg)
         std::cerr << "panic: " << msg << "\n  @ " << file << ":"
                   << line << std::endl;
     }
-    if (panicTrap != nullptr) {
-        // The trap unwinds (siglongjmp) to a supervised scope; clear
-        // it first so a panic raised *inside* the trap still aborts.
-        auto *trap = panicTrap;
-        panicTrap = nullptr;
-        trap(msg);
-    }
+    if (panicScopeDepth > 0)
+        throw Panic{msg};
     std::abort();
 }
 

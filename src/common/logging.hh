@@ -4,7 +4,8 @@
  *
  * Severity contract (mirrors gem5's logging.hh):
  *  - panic():  an internal invariant was violated — a framework bug.
- *              Aborts so a debugger/core dump can catch it.
+ *              Aborts so a debugger/core dump can catch it, unless
+ *              the thread is inside a PanicScope (then it throws).
  *  - fatal():  the simulation cannot continue because of a user error
  *              (bad configuration, impossible parameters). Exits(1).
  *  - warn():   something works, but not as well as it should.
@@ -23,7 +24,8 @@ namespace mmgpu
 namespace detail
 {
 
-/** Terminate with an internal-bug message; calls std::abort(). */
+/** Report an internal bug: throws Panic inside a PanicScope, else
+ *  calls std::abort(). */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
@@ -51,7 +53,8 @@ fold(Args &&...args)
 
 } // namespace detail
 
-/** Report an internal invariant violation and abort. */
+/** Report an internal invariant violation and abort (or throw Panic
+ *  inside a PanicScope). */
 template <typename... Args>
 [[noreturn]] void
 panicAt(const char *file, int line, Args &&...args)
@@ -88,17 +91,38 @@ inform(Args &&...args)
 /** Toggle inform() output (benches silence it for clean tables). */
 void setInformEnabled(bool enabled);
 
+/** What panic() throws inside a PanicScope. */
+struct Panic
+{
+    std::string message;
+};
+
 /**
- * Install a thread-local trap consulted by panic() *before* it
- * aborts. When set, panicImpl logs the message and calls the trap
- * instead of std::abort(); the trap must not return — it unwinds to
- * a supervised scope (the serve tier's shard supervisor does this
- * via siglongjmp, downgrading a contract-audit death to a
- * recoverable shard crash). Pass nullptr to restore abort semantics.
- * Affects only the calling thread; panics on untrapped threads still
- * abort, so the debugger/core-dump contract holds everywhere else.
+ * Supervised scope: while one is live on the calling thread, panic()
+ * throws Panic instead of aborting, so the frames between the panic
+ * and the catch unwind normally (destructors run, lock guards
+ * release). Construct it inside the `try` whose handler catches
+ * `const Panic &`:
+ *
+ *     try {
+ *         PanicScope supervised;
+ *         ... work that may panic ...
+ *     } catch (const Panic &panic) {
+ *         ... turn panic.message into an error ...
+ *     }
+ *
+ * Scopes nest; panics on threads with no live scope still abort, so
+ * the debugger/core-dump contract holds everywhere else.
  */
-void setThreadPanicTrap(void (*trap)(const std::string &msg));
+class PanicScope
+{
+  public:
+    PanicScope();
+    ~PanicScope();
+
+    PanicScope(const PanicScope &) = delete;
+    PanicScope &operator=(const PanicScope &) = delete;
+};
 
 } // namespace mmgpu
 

@@ -41,11 +41,6 @@
  * plain vector by the randomized differential test in test_engine —
  * and results no longer depend on which standard library built
  * them.
- * scheduleBatch() appends a burst then sifts each element in append
- * order; a sift only reads and writes the element's ancestor chain
- * (strictly smaller indices), so later appends are invisible to
- * earlier sifts and the heap is identical to that of element-wise
- * schedule() calls.
  *
  * Layout: the heap lives 1-based in 64-byte-aligned storage behind
  * one unused pad element, so heap node i sits at storage index i + 1
@@ -112,22 +107,6 @@ class Calendar
     {
         store_.push_back({when, index, is_mem});
         siftUp(store_.size() - 1, store_.back());
-    }
-
-    /**
-     * Queue @p count events in one append. Equivalent to calling
-     * schedule() for each event in order — same final heap layout,
-     * same subsequent pop order — but grows the vector once and
-     * keeps the sift loop hot for same-call-site bursts (CTA
-     * dispatch, per-line access fan-out).
-     */
-    void
-    scheduleBatch(const Event *events, std::size_t count)
-    {
-        store_.insert(store_.end(), events, events + count);
-        std::size_t size = store_.size();
-        for (std::size_t s = size - count; s < size; ++s)
-            siftUp(s, store_[s]);
     }
 
     /** True when no events are pending. */

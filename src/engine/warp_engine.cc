@@ -97,10 +97,6 @@ WarpEngine::fillSm(unsigned sm_id, noc::Tick t)
         unsigned cta = ctaQueues_[gpm].pop();
         core.reserveSlots(profile.warpsPerCta);
         ctaWarpsLeft_[cta] = profile.warpsPerCta;
-        // One calendar batch per CTA: every warp's first event lands
-        // at the same tick t, in slot order — scheduleBatch() places
-        // them exactly as warp-by-warp schedule() calls would.
-        batchScratch_.clear();
         for (unsigned w = 0; w < profile.warpsPerCta; ++w) {
             mmgpu_assert(!freeSlotsPerSm_[sm_id].empty(),
                          "free-slot list disagrees with SmCore");
@@ -113,10 +109,8 @@ WarpEngine::fillSm(unsigned sm_id, noc::Tick t)
             slot.outstanding = 0;
             slot.blocked = WarpBlock::None;
             slot.live = true;
-            batchScratch_.push_back({t, slot_id, /*isMem=*/false});
+            pushWarp(t, slot_id);
         }
-        calendar_.scheduleBatch(batchScratch_.data(),
-                                batchScratch_.size());
     }
 }
 
@@ -162,15 +156,6 @@ WarpEngine::step(std::uint32_t slot_index, noc::Tick t)
         plan_->next(slot.trace, cursorsOf(slot_index));
 
     switch (op.kind) {
-      case isa::TraceOpKind::Compute: {
-        instrs_[static_cast<std::size_t>(op.op)] += 1;
-        noteInstr(t, op.op);
-        noc::Tick issued = core.acquireIssue(t, isa::issueCost(op.op));
-        pushWarp(issued +
-                     static_cast<double>(isa::defaultLatency(op.op)),
-                 slot_index);
-        break;
-      }
       case isa::TraceOpKind::ComputeBlock: {
         for (const auto &mix : profile.compute) {
             instrs_[static_cast<std::size_t>(mix.op)] +=

@@ -194,7 +194,6 @@ class WarpEngine : public Component, public WarpWaker
     std::vector<std::vector<unsigned>> freeSlotsPerSm_;
     std::vector<sm::GpmCtaQueue> ctaQueues_;
     std::vector<unsigned> ctaWarpsLeft_;
-    std::vector<Event> batchScratch_; //!< fillSm's per-CTA batch
 
     /** Launch-scoped context for CTA backfill from step(). */
     const trace::KernelProfile *profile_ = nullptr;

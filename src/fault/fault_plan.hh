@@ -167,8 +167,8 @@ struct HarnessFaultSpec
 struct ServeFaultSpec
 {
     /** Crash the executing shard on every Nth job (0 disables). The
-     *  supervisor must retire the machine, restart the shard, and
-     *  re-queue or poison the work. */
+     *  supervisor must restart the shard and re-queue or poison the
+     *  work. */
     std::uint64_t shardCrashEveryJobs = 0;
 
     /** Stall the service dispatcher once, before delivering job N

@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "common/contract.hh"
-#include "common/crash_guard.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/thread_safety.hh"
@@ -130,31 +129,6 @@ struct ScalingRunner::MachinePool
         idle[machine->config()].push_back(std::move(machine));
     }
 
-    /** Destroy every idle machine built for @p config. @return count. */
-    std::size_t
-    retire(const sim::GpuConfig &config)
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        auto it = idle.find(config);
-        if (it == idle.end())
-            return 0;
-        std::size_t count = it->second.size();
-        idle.erase(it);
-        return count;
-    }
-
-    /** Destroy every idle machine in the pool. @return count. */
-    std::size_t
-    retireAll()
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        std::size_t count = 0;
-        for (auto &[config, machines] : idle)
-            count += machines.size();
-        idle.clear();
-        return count;
-    }
-
     std::mutex mutex;
     std::map<sim::GpuConfig, std::vector<std::unique_ptr<sim::GpuSim>>>
         idle MMGPU_GUARDED_BY(mutex);
@@ -236,18 +210,6 @@ ScalingRunner::ScalingRunner(ScalingRunner &&) noexcept = default;
 ScalingRunner &
 ScalingRunner::operator=(ScalingRunner &&) noexcept = default;
 ScalingRunner::~ScalingRunner() = default;
-
-std::size_t
-ScalingRunner::invalidateMachines(const sim::GpuConfig &config)
-{
-    return machines_->retire(config);
-}
-
-std::size_t
-ScalingRunner::invalidateAllMachines()
-{
-    return machines_->retireAll();
-}
 
 ScalingRunner::Entry &
 ScalingRunner::ensure(const sim::GpuConfig &config,
@@ -387,18 +349,17 @@ ScalingRunner::compute(const sim::GpuConfig &config,
         }
 
         // A panic inside the simulator (contract audit, engine
-        // assert) must become an error *here*: ensure() runs us
-        // under a per-entry std::call_once, and a longjmp across a
-        // once_flag is undefined (and deadlocks every waiter). The
-        // guarded work lives in simulate()'s own frame, which the
-        // jump abandons wholesale.
-        CrashTrap trap;
-        if (sigsetjmp(trap.jumpBuffer(), 0) == 0) {
+        // assert) becomes an error *here*, inside the once-callee:
+        // the failure is then memoized like any other, so every
+        // waiter on this entry sees the same error.
+        try {
+            PanicScope supervised;
             return simulate(config, profile, link_energy_scale,
                             const_growth_override, fingerprint);
+        } catch (const Panic &panic) {
+            return SimError::unavailable("simulation panicked: " +
+                                         panic.message);
         }
-        return SimError::unavailable("simulation panicked: " +
-                                     trap.message());
     }
 }
 

@@ -262,20 +262,6 @@ class ScalingRunner
         faultPlan_ = plan;
     }
 
-    /**
-     * Retire every idle pooled machine built for @p config. The
-     * serve supervisor calls this after a shard crash: a machine the
-     * crash may have left in a corrupt half-run state must never be
-     * reused, so the next run of that config rebuilds from scratch.
-     * A machine checked out by the crashing job is simply abandoned —
-     * it is never released back into the pool.
-     * @return machines destroyed.
-     */
-    std::size_t invalidateMachines(const sim::GpuConfig &config);
-
-    /** Retire every idle pooled machine of every identity. */
-    std::size_t invalidateAllMachines();
-
     /** @return true when the point is already memoized (completed). */
     bool cached(const sim::GpuConfig &config,
                 const trace::KernelProfile &profile,
@@ -347,12 +333,8 @@ class ScalingRunner
 
     /**
      * The machine-driving tail of compute(): acquire, run, estimate,
-     * release, persist. Lives in its own frame so compute()'s panic
-     * trap can abandon it wholesale — a panicking simulation must
-     * not unwind past the per-entry call_once in ensure(), so it is
-     * converted to an Unavailable error at the compute() boundary.
-     * The machine being driven is simply never released; callers
-     * (the serve supervisor) retire its pooled siblings.
+     * release, persist. A panic unwinds out of it before release(),
+     * so the interrupted machine is destroyed, never pooled.
      */
     Result<RunOutcome> simulate(const sim::GpuConfig &config,
                                 const trace::KernelProfile &profile,

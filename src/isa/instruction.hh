@@ -30,16 +30,17 @@ inline constexpr unsigned warpSize = 32;
 inline constexpr Bytes sectorBytes = 32;    //!< L2/DRAM sector
 inline constexpr Bytes cacheLineBytes = 128; //!< L1 line (4 sectors)
 
-/** Kind of warp-level trace event. */
+/** Kind of warp-level trace event. The numbering starts at 1 so the
+ *  kinds keep the values the pinned trace digests were recorded
+ *  with. */
 enum class TraceOpKind : std::uint8_t
 {
-    Compute,      //!< one ALU/SFU instruction
-    ComputeBlock, //!< a dependent chain of compute instructions,
-                  //!< pre-aggregated for simulation efficiency
-    Load,         //!< global or shared load
-    Store,        //!< global or shared store
-    Sync,         //!< wait for all outstanding memory ops of this warp
-    Exit,         //!< warp terminates
+    ComputeBlock = 1, //!< a dependent chain of compute instructions,
+                      //!< pre-aggregated for simulation efficiency
+    Load,             //!< global or shared load
+    Store,            //!< global or shared store
+    Sync,             //!< wait for all outstanding memory ops of this warp
+    Exit,             //!< warp terminates
 };
 
 /** One warp-level trace event. */
@@ -47,7 +48,7 @@ struct TraceOp
 {
     TraceOpKind kind = TraceOpKind::Exit;
 
-    /** Opcode (valid for Compute/Load/Store). */
+    /** Opcode (valid for Load/Store). */
     Opcode op = Opcode::FADD32;
 
     /**
@@ -79,13 +80,6 @@ struct TraceOp
     std::uint32_t blockLatency() const
     {
         return static_cast<std::uint32_t>(addr >> 32);
-    }
-
-    /** Build a compute op. */
-    static TraceOp
-    compute(Opcode op)
-    {
-        return {TraceOpKind::Compute, op, 0, 0};
     }
 
     /** Build a compute block with @p slots issue slots and @p latency

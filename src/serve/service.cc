@@ -1,10 +1,7 @@
 #include "serve/service.hh"
 
-#include <setjmp.h>
-
 #include <algorithm>
 
-#include "common/crash_guard.hh"
 #include "common/logging.hh"
 #include "common/wallclock.hh"
 #include "trace/workloads.hh"
@@ -27,8 +24,8 @@ breakerClassOf(RequestType type)
 /**
  * Server-side failure classification: errors the *service* owns
  * (timeouts, crashes, injected faults, internal bugs) feed the
- * circuit breaker and retire pooled machines; client mistakes (bad
- * config, parse errors) do neither.
+ * circuit breaker as failures; client mistakes (bad config, parse
+ * errors) count as successes.
  */
 bool
 serverSideFailure(const Response &response)
@@ -486,14 +483,10 @@ SimService::execute(std::size_t shard, const Job &job)
     generation_[shard]->fetch_add(1); // idle epoch
     router_.release(shard);
 
-    // A server-side failure (timeout, injected fault, internal
-    // error) may have left the job's pooled machines mid-simulation;
-    // retire them so the next hit rebuilds clean state. The breaker
-    // also learns about it, while client mistakes count as success.
+    // Server-side failures (timeout, injected fault, internal error)
+    // feed the breaker; client mistakes count as success.
     bool failure = serverSideFailure(response);
-    if (failure)
-        runner_.invalidateMachines(job.request.spec.config());
-    else
+    if (!failure)
         supervisor_.onHealthy(static_cast<unsigned>(shard));
     breaker_.record(
         breakerClassOf(job.request.type), !failure,
@@ -532,13 +525,8 @@ bool
 SimService::runGuarded(std::size_t shard, const Job &job,
                        Response &response, std::string &crash_msg)
 {
-    // The trap's fields are written through the thread-local active
-    // pointer (they escape), so reading them after the siglongjmp is
-    // well-defined in practice; locals of the *interrupted* frames
-    // (executeRun and below) are abandoned — pooled machines, the
-    // one resource that matters, are retired by crashRecover().
-    CrashTrap trap;
-    if (sigsetjmp(trap.jumpBuffer(), 0) == 0) {
+    try {
+        PanicScope supervised;
         std::uint64_t job_index = jobsExecuted_.fetch_add(1) + 1;
         maybeInjectCrash(job_index, job.request);
         response = job.request.type == RequestType::Run
@@ -546,9 +534,10 @@ SimService::runGuarded(std::size_t shard, const Job &job,
                        : executeStudy(job.request,
                                       cancel_[shard].get());
         return false;
+    } catch (const Panic &panic) {
+        crash_msg = panic.message;
+        return true;
     }
-    crash_msg = trap.message();
-    return true;
 }
 
 void
@@ -579,12 +568,6 @@ SimService::crashRecover(std::size_t shard, const Job &job,
     busySinceMs_[shard]->store(0);
     generation_[shard]->fetch_add(1); // idle epoch
     router_.release(shard);
-
-    // Crash isolation: whatever machine the job was driving is in an
-    // unknown state. Retire every pooled machine of its config so no
-    // later run inherits the wreckage (the checked-out one was
-    // abandoned by the longjmp and never returns to the pool).
-    runner_.invalidateMachines(job.request.spec.config());
 
     const std::uint64_t identity = job.request.workIdentity();
     ShardSupervisor::Outcome outcome = supervisor_.onCrash(

@@ -228,9 +228,9 @@ class SimService
     void execute(std::size_t shard, const Job &job);
 
     /**
-     * Run the job body inside a CrashTrap (panic -> siglongjmp back
-     * here instead of aborting the daemon). @return true when the
-     * job crashed; @p crash_msg then holds the panic text, otherwise
+     * Run the job body inside a PanicScope (a panic unwinds back here
+     * instead of aborting the daemon). @return true when the job
+     * crashed; @p crash_msg then holds the panic text, otherwise
      * @p response holds the answer.
      */
     bool runGuarded(std::size_t shard, const Job &job,
@@ -241,10 +241,10 @@ class SimService
                           const Request &request);
 
     /**
-     * Supervised crash recovery: retire the job's machines, consult
-     * the supervisor, re-queue or poison, and sleep the shard's
-     * restart backoff. The job's sinks stay attached on re-queue —
-     * server-side recovery is invisible to clients.
+     * Supervised crash recovery: consult the supervisor, re-queue
+     * or poison, and sleep the shard's restart backoff. The job's
+     * sinks stay attached on re-queue — server-side recovery is
+     * invisible to clients.
      */
     void crashRecover(std::size_t shard, const Job &job,
                       const std::string &crash_msg);

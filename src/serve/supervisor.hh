@@ -5,12 +5,11 @@
  *
  * The serve tier must survive its own engine. A simulation that dies
  * inside a shard (an injected chaos crash, a contract-audit panic
- * downgraded via the thread panic trap, a watchdog cancellation that
- * poisons the machine) is a *shard* problem, not a *daemon* problem:
- * the supervisor retires the possibly-corrupt machine, restarts the
- * shard after a bounded exponential backoff, and either re-queues the
- * work (clients never see the crash) or — after maxStrikes crashes on
- * the same work fingerprint — quarantines that fingerprint so it is
+ * unwound to the shard's PanicScope) is a *shard* problem, not a
+ * *daemon* problem: the supervisor restarts the shard after a
+ * bounded exponential backoff, and either re-queues the work
+ * (clients never see the crash) or — after maxStrikes crashes on the
+ * same work fingerprint — quarantines that fingerprint so it is
  * answered with ErrCode::Poisoned instead of crashing a shard a
  * fourth time.
  *

@@ -201,98 +201,12 @@ TEST(Calendar, ResetRestoresFreshlyConstructedBehaviour)
     }
 }
 
-TEST(Calendar, ScheduleBatchMatchesSequentialScheduleExactly)
-{
-    // The determinism contract scheduleBatch() must honor: the final
-    // heap layout — and therefore every subsequent pop, including
-    // same-tick tie order — is identical to element-wise schedule()
-    // calls in the same order. Drive both calendars through a long
-    // interleave of bursts and pops with heavy timestamp ties.
-    Calendar batched;
-    Calendar sequential;
-    std::uint64_t lcg = 98765;
-    auto next = [&lcg]() {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<std::uint32_t>(lcg >> 33);
-    };
-    std::uint32_t serial = 0;
-    for (int round = 0; round < 500; ++round) {
-        const std::uint32_t roll = next();
-        if (roll % 3 != 0 || batched.empty()) {
-            // Bursts of 1..8 events; coarse times force ties both
-            // inside a burst and across bursts.
-            const std::size_t burst = 1 + next() % 8;
-            std::vector<Event> events;
-            for (std::size_t k = 0; k < burst; ++k) {
-                const double when = static_cast<double>(next() % 4);
-                const bool is_mem = (next() & 1) != 0;
-                events.push_back({when, serial, is_mem});
-                ++serial;
-            }
-            batched.scheduleBatch(events.data(), events.size());
-            for (const Event &e : events)
-                sequential.schedule(e.when, e.index, e.isMem);
-        } else {
-            const Event ours = batched.pop();
-            const Event theirs = sequential.pop();
-            EXPECT_DOUBLE_EQ(ours.when, theirs.when);
-            ASSERT_EQ(ours.index, theirs.index)
-                << "batch vs sequential diverged at round " << round;
-            EXPECT_EQ(ours.isMem, theirs.isMem);
-        }
-    }
-    ASSERT_EQ(batched.pending(), sequential.pending());
-    while (!batched.empty())
-        ASSERT_EQ(batched.pop().index, sequential.pop().index);
-}
-
-TEST(Calendar, ScheduleBatchSameTickTiesMatchSequential)
-{
-    // The CTA-dispatch shape: every event of the burst lands at the
-    // same tick (warps of one CTA all start at t), on top of a heap
-    // already holding earlier and later events. Tie pop order must
-    // match element-wise schedule() exactly.
-    Calendar batched;
-    Calendar sequential;
-    const double preload[] = {5.0, 2.0, 2.0, 9.0, 2.0};
-    std::uint32_t serial = 0;
-    for (double t : preload) {
-        batched.schedule(t, serial, false);
-        sequential.schedule(t, serial, false);
-        ++serial;
-    }
-    std::vector<Event> burst;
-    for (unsigned w = 0; w < 16; ++w) {
-        burst.push_back({2.0, serial, false});
-        ++serial;
-    }
-    batched.scheduleBatch(burst.data(), burst.size());
-    for (const Event &e : burst)
-        sequential.schedule(e.when, e.index, e.isMem);
-    ASSERT_EQ(batched.pending(), sequential.pending());
-    while (!batched.empty()) {
-        const Event ours = batched.pop();
-        const Event theirs = sequential.pop();
-        EXPECT_DOUBLE_EQ(ours.when, theirs.when);
-        ASSERT_EQ(ours.index, theirs.index);
-    }
-}
-
-TEST(Calendar, ScheduleBatchOfZeroEventsIsANoOp)
-{
-    Calendar calendar;
-    calendar.schedule(1.0, 0, false);
-    calendar.scheduleBatch(nullptr, 0);
-    EXPECT_EQ(calendar.pending(), 1u);
-    EXPECT_EQ(calendar.pop().index, 0u);
-}
-
 TEST(Calendar, HeapArrayMatchesStdHeapAfterEveryOperation)
 {
     // Differential test of the hand-written heap against the
     // standard heap algorithms on a plain vector: schedule() is
-    // push_back + std::push_heap, scheduleBatch() is that per event,
-    // pop() is std::pop_heap + pop_back, reset() is clear. The whole
+    // push_back + std::push_heap, pop() is std::pop_heap + pop_back,
+    // reset() is clear. The whole
     // heap array — not only the pop order — must match after every
     // operation, under heavy same-tick ties and growth far past the
     // reserved capacity.
@@ -324,12 +238,13 @@ TEST(Calendar, HeapArrayMatchesStdHeapAfterEveryOperation)
             calendar.schedule(event.when, event.index, event.isMem);
             push_reference(event);
         } else if (roll < 550) {
-            std::vector<Event> burst(1 + next() % 16);
-            for (Event &event : burst)
-                event = {when(), serial++, (next() & 1) != 0};
-            calendar.scheduleBatch(burst.data(), burst.size());
-            for (const Event &event : burst)
+            // A burst of schedules, as CTA dispatch makes.
+            const std::uint32_t burst = 1 + next() % 16;
+            for (std::uint32_t k = 0; k < burst; ++k) {
+                const Event event{when(), serial++, (next() & 1) != 0};
+                calendar.schedule(event.when, event.index, event.isMem);
                 push_reference(event);
+            }
         } else if (roll < 998) {
             if (reference.empty())
                 continue;

@@ -14,8 +14,6 @@ using namespace mmgpu::isa;
 
 TEST(TraceOp, FactoryKinds)
 {
-    EXPECT_EQ(TraceOp::compute(Opcode::FMUL32).kind,
-              TraceOpKind::Compute);
     EXPECT_EQ(TraceOp::loadGlobal(128).kind, TraceOpKind::Load);
     EXPECT_EQ(TraceOp::storeGlobal(128).kind, TraceOpKind::Store);
     EXPECT_EQ(TraceOp::loadShared().kind, TraceOpKind::Load);

@@ -3,8 +3,12 @@
  * Unit tests for the gem5-style logging facilities.
  */
 
+#include <mutex>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/lockdep.hh"
 #include "common/logging.hh"
 
 namespace
@@ -27,6 +31,55 @@ TEST(LoggingDeathTest, FatalExitsWithCodeOne)
 TEST(LoggingDeathTest, PanicAborts)
 {
     EXPECT_DEATH(mmgpu_panic("internal bug"), "internal bug");
+}
+
+/** Counts its own destructions. */
+struct CountsDestruction
+{
+    int *count;
+    ~CountsDestruction() { ++*count; }
+};
+
+/** Panic from a frame of its own while it holds @p mutex and a
+ *  destructor-counting local. */
+[[noreturn]] void
+panicHolding(sync::Mutex &mutex, int &destroyed)
+{
+    std::lock_guard<sync::Mutex> lock(mutex);
+    CountsDestruction local{&destroyed};
+    mmgpu_panic("panicked holding the lock");
+}
+
+TEST(LoggingDeathTest, PanicScopeUnwindsToItsCatch)
+{
+    // Inside a PanicScope a panic throws Panic, so every frame
+    // between it and the catch unwinds: destructors run once and
+    // lock guards release. An abandoned frame would leave the mutex
+    // locked and the local undestroyed.
+    sync::Mutex mutex;
+    int destroyed = 0;
+    std::string inner_message;
+    std::string outer_message;
+    try {
+        PanicScope outer;
+        try {
+            PanicScope inner;
+            mmgpu_panic("inner ", 1);
+        } catch (const Panic &panic) {
+            inner_message = panic.message;
+        }
+        // The inner catch leaves the outer scope armed.
+        panicHolding(mutex, destroyed);
+    } catch (const Panic &panic) {
+        outer_message = panic.message;
+    }
+    EXPECT_EQ(inner_message, "inner 1");
+    EXPECT_EQ(outer_message, "panicked holding the lock");
+    EXPECT_EQ(destroyed, 1);
+    ASSERT_TRUE(mutex.try_lock());
+    mutex.unlock();
+    // Both scopes are gone, so a panic aborts again.
+    EXPECT_DEATH(mmgpu_panic("unsupervised"), "unsupervised");
 }
 
 TEST(LoggingDeathTest, AssertPassesOnTrue)

@@ -177,7 +177,7 @@ TEST(ServeConcurrent, PipelinedSocketClientsEachGetTheirAnswers)
 TEST(ServeConcurrent, ShardCrashesUnderConcurrentLoadStayInvisible)
 {
     // Counter-driven shard crashes while 8 client threads hammer the
-    // service: every crash must be supervised (machine retired, shard
+    // service: every crash must be supervised (frames unwound, shard
     // restarted after backoff, job requeued with sinks attached) and
     // no client may ever observe one. This is the tier-2 shape of
     // ServeSelfHealing.CounterCrashesAreRequeuedInvisibly — the
