@@ -18,7 +18,6 @@
  *   --batch <file>        run a request script ('-' = stdin)
  *   --shards <n>          worker shards (default 2)
  *   --queue-depth <n>     admission bound (default 64)
- *   --watchdog <sec>      per-request budget, 0 = off (default 30)
  *   --flush-sec <sec>     run-cache background flush period
  *                         (default: MMGPU_CACHE_FLUSH_SEC)
  *   --sample-ms <ms>      health-sample period (default 200)
@@ -67,9 +66,8 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s (--socket PATH | --batch FILE)\n"
                  "          [--shards N] [--queue-depth N] "
-                 "[--watchdog SEC]\n"
-                 "          [--flush-sec SEC] [--sample-ms MS] "
-                 "[--stats-csv FILE]\n"
+                 "[--flush-sec SEC]\n"
+                 "          [--sample-ms MS] [--stats-csv FILE]\n"
                  "          [--prof-out FILE] [--quota-rate R] "
                  "[--quota-burst N]\n"
                  "          [--shed-watermark F]\n",
@@ -134,8 +132,6 @@ main(int argc, char **argv)
         } else if (args[i] == "--queue-depth") {
             options.queueDepth =
                 std::strtoul(need("--queue-depth"), nullptr, 0);
-        } else if (args[i] == "--watchdog") {
-            options.watchdogSeconds = std::atof(need("--watchdog"));
         } else if (args[i] == "--flush-sec") {
             options.cacheFlushSec = std::atof(need("--flush-sec"));
         } else if (args[i] == "--sample-ms") {

@@ -29,7 +29,8 @@ enum class ErrCode : std::uint8_t
     Config,        //!< invalid configuration / inputs
     Io,            //!< file-system or serialization failure
     Parse,         //!< malformed persisted data
-    Timeout,       //!< watchdog cancelled the operation
+    Timeout,       //!< no answer within the caller's deadline
+                   //!< (client side: ServeClient's recv timeout)
     InjectedFault, //!< a FaultPlan deliberately failed the point
     Internal,      //!< invariant violation reported instead of abort
     Unavailable,   //!< transient capacity loss (shard crash mid-job,
@@ -118,7 +119,7 @@ struct SimError
         return {ErrCode::Poisoned, std::move(message)};
     }
 
-    /** "timeout: watchdog fired after 2s" style rendering. */
+    /** "timeout: no response within 2000 ms" style rendering. */
     std::string
     describe() const
     {

@@ -7,7 +7,7 @@
  * counts — so mmgpu-lint bans std::chrono clocks, time(), rand(),
  * and friends everywhere outside src/common's rng/clock shims. The
  * pieces of the harness that legitimately need wall-clock time
- * (watchdog budgets, retry backoff, fault-plan hang windows) go
+ * (client timeouts, retry backoff, fault-plan hang windows) go
  * through this shim, which keeps every such site greppable and keeps
  * host time out of anything that feeds simulation state.
  *

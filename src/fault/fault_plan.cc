@@ -38,28 +38,7 @@ std::uint64_t
 FaultPlan::fingerprint() const
 {
     Fnv1a hash;
-    hash.add(seed);
-    hash.add(sensor.dropoutRate);
-    hash.add(sensor.spikeRate);
-    hash.add(sensor.spikeMagnitude);
-    hash.add(sensor.glitchRate);
-    hash.add(sensor.glitchSteps);
-    hash.add(sensor.jitterFraction);
-    hash.add(static_cast<std::uint64_t>(harness.failPoints.size()));
-    for (const std::string &point : harness.failPoints)
-        hash.add(point);
-    hash.add(static_cast<std::uint64_t>(harness.hangPoints.size()));
-    for (const std::string &point : harness.hangPoints)
-        hash.add(point);
-    hash.add(harness.hangSeconds);
-    hash.add(serve.shardCrashEveryJobs);
-    hash.add(serve.dispatcherStallAtJob);
-    hash.add(serve.dispatcherStallMs);
-    hash.add(serve.walTearAtAppend);
-    hash.add(serve.connResetEveryWrites);
-    hash.add(static_cast<std::uint64_t>(serve.crashPoints.size()));
-    for (const std::string &point : serve.crashPoints)
-        hash.add(point);
+    hashFields(hash, *this);
     return hash.digest();
 }
 

@@ -64,6 +64,20 @@ struct SensorFaultSpec
     }
 };
 
+template <FieldsOf<SensorFaultSpec> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[dropoutRate, spikeRate, spikeMagnitude, glitchRate,
+           glitchSteps, jitterFraction] = self;
+    visit("dropoutRate", dropoutRate);
+    visit("spikeRate", spikeRate);
+    visit("spikeMagnitude", spikeMagnitude);
+    visit("glitchRate", glitchRate);
+    visit("glitchSteps", glitchSteps);
+    visit("jitterFraction", jitterFraction);
+}
+
 /**
  * The default sensor-fault campaign used by tests and docs: >= 5%
  * dropout plus occasional spikes/glitches and latch jitter. The
@@ -136,11 +150,12 @@ struct HarnessFaultSpec
     /** Points that fail with SimError{InjectedFault}. */
     std::vector<std::string> failPoints;
 
-    /** Points that hang (cooperatively, in wall-clock time) until
-     *  hangSeconds elapse or a watchdog cancels them. */
+    /** Points that stall (in wall-clock time) before computing,
+     *  until hangSeconds elapse or the runner's plan is detached or
+     *  replaced (ScalingRunner::setFaultPlan). */
     std::vector<std::string> hangPoints;
 
-    /** How long an injected hang stalls when nothing cancels it. */
+    /** How long an injected hang stalls when the plan stays put. */
     double hangSeconds = 30.0;
 
     bool
@@ -154,6 +169,16 @@ struct HarnessFaultSpec
                         const std::string &config,
                         const std::string &workload);
 };
+
+template <FieldsOf<HarnessFaultSpec> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[failPoints, hangPoints, hangSeconds] = self;
+    visit("failPoints", failPoints);
+    visit("hangPoints", hangPoints);
+    visit("hangSeconds", hangSeconds);
+}
 
 /**
  * Serve-layer sabotage: deterministic chaos for the mmgpu_serve
@@ -204,6 +229,21 @@ struct ServeFaultSpec
     }
 };
 
+template <FieldsOf<ServeFaultSpec> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[shardCrashEveryJobs, dispatcherStallAtJob,
+           dispatcherStallMs, walTearAtAppend, connResetEveryWrites,
+           crashPoints] = self;
+    visit("shardCrashEveryJobs", shardCrashEveryJobs);
+    visit("dispatcherStallAtJob", dispatcherStallAtJob);
+    visit("dispatcherStallMs", dispatcherStallMs);
+    visit("walTearAtAppend", walTearAtAppend);
+    visit("connResetEveryWrites", connResetEveryWrites);
+    visit("crashPoints", crashPoints);
+}
+
 /** A complete, reproducible fault campaign. */
 struct FaultPlan
 {
@@ -223,8 +263,9 @@ struct FaultPlan
     }
 
     /**
-     * FNV-1a fingerprint over the seed and every rate/point: two
-     * plans with equal fingerprints inject bit-identical faults.
+     * FNV-1a fingerprint over every field (hashFields over the
+     * forEachField lists below): two plans with equal fingerprints
+     * inject bit-identical faults.
      */
     std::uint64_t fingerprint() const;
 
@@ -249,6 +290,17 @@ struct FaultPlan
      */
     static FaultPlan fromEnv();
 };
+
+template <FieldsOf<FaultPlan> S, typename Visit>
+constexpr void
+forEachField(S &self, Visit &&visit)
+{
+    auto &[seed, sensor, harness, serve] = self;
+    visit("seed", seed);
+    visit("sensor", sensor);
+    visit("harness", harness);
+    visit("serve", serve);
+}
 
 } // namespace mmgpu::fault
 

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/logging.hh"
-#include "common/wallclock.hh"
 
 namespace mmgpu::harness
 {
@@ -73,28 +72,13 @@ ParallelRunner::drain()
     if (jobs.empty())
         return report;
 
-    // Per-point watchdog bookkeeping: start time in milliseconds
-    // since the drain began (-1 = not started, -2 = finished) and a
-    // cooperative cancel flag the point's computation polls.
-    struct JobState
-    {
-        std::atomic<std::int64_t> startMs{-1};
-        std::atomic<bool> cancel{false};
-    };
-    std::vector<JobState> states(jobs.size());
-    const std::int64_t epoch = wallclock::nowMs();
-    auto now_ms = [epoch] { return wallclock::nowMs() - epoch; };
-
     std::mutex report_mutex;
     std::atomic<std::size_t> completed{0};
     auto work = [&](std::size_t index) {
-        JobState &state = states[index];
-        state.startMs.store(now_ms(), std::memory_order_release);
         const RunKey &job = jobs[index];
-        Result<const RunOutcome *> result = runner_->tryRun(
-            job.config, job.profile, job.linkEnergyScale,
-            job.constGrowthOverride, &state.cancel);
-        state.startMs.store(-2, std::memory_order_release);
+        Result<const RunOutcome *> result =
+            runner_->tryRun(job.config, job.profile,
+                            job.linkEnergyScale, job.constGrowthOverride);
         if (result.ok()) {
             std::size_t done =
                 completed.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -109,30 +93,6 @@ ParallelRunner::drain()
                 PointFailure{job, result.error()});
         }
     };
-
-    // The watchdog monitor raises cancel flags on overdue points;
-    // workers stay joinable because cancellation is cooperative.
-    std::atomic<bool> monitor_stop{false};
-    std::thread monitor;
-    if (watchdogSeconds_ > 0.0) {
-        const auto budget_ms =
-            static_cast<std::int64_t>(watchdogSeconds_ * 1000.0);
-        // budget_ms by value: it dies with this block, but the
-        // monitor thread runs until after the workers join.
-        monitor = std::thread([&, budget_ms] {
-            while (!monitor_stop.load(std::memory_order_acquire)) {
-                std::int64_t now = now_ms();
-                for (JobState &state : states) {
-                    std::int64_t started =
-                        state.startMs.load(std::memory_order_acquire);
-                    if (started >= 0 && now - started > budget_ms)
-                        state.cancel.store(
-                            true, std::memory_order_release);
-                }
-                wallclock::sleepMs(50);
-            }
-        });
-    }
 
     unsigned threads = static_cast<unsigned>(
         std::min<std::size_t>(workers_, jobs.size()));
@@ -157,11 +117,6 @@ ParallelRunner::drain()
             pool.emplace_back(worker);
         for (auto &thread : pool)
             thread.join();
-    }
-
-    if (monitor.joinable()) {
-        monitor_stop.store(true, std::memory_order_release);
-        monitor.join();
     }
 
     report.completed = completed.load(std::memory_order_relaxed);

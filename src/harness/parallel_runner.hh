@@ -97,17 +97,6 @@ class ParallelRunner
     unsigned workers() const { return workers_; }
 
     /**
-     * Cancel any point still running @p seconds after it started
-     * (0 disables, the default). A monitor thread polls per-point
-     * start times and raises that point's cooperative cancel flag;
-     * the point then reports a timeout SimError instead of stalling
-     * the whole sweep. Cancellation is cooperative — it interrupts
-     * the waits that poll the flag (injected hangs), not arbitrary
-     * compute loops.
-     */
-    void setWatchdog(double seconds) { watchdogSeconds_ = seconds; }
-
-    /**
      * Checkpoint partial progress: flush the runner's persistent
      * cache after every @p n completed points (0 disables, the
      * default). An interrupted sweep then resumes from the last
@@ -122,16 +111,17 @@ class ParallelRunner
      * The queue is empty afterwards; the runner's memo cache holds
      * the outcomes.
      *
-     * A failing point (invalid config, injected fault, watchdog
-     * timeout) is isolated: the remaining points still execute, and
-     * the failure is reported in the returned DrainReport.
+     * A failing point (invalid config, injected fault, simulator
+     * panic) is isolated: the remaining points still execute, and
+     * the failure is reported in the returned DrainReport. Nothing
+     * cancels a point that never finishes; a sweep relies on the
+     * timeout of whatever process runs it.
      */
     DrainReport drain();
 
   private:
     ScalingRunner *runner_;
     unsigned workers_;
-    double watchdogSeconds_ = 0.0;
     std::size_t checkpointEvery_ = 0;
     std::deque<RunKey> jobs_; //!< deque: queued_ points into it
 

@@ -1,6 +1,7 @@
 #include "harness/study.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -90,6 +91,10 @@ struct ScalingRunner::Cache
     std::set<sim::GpuConfig> configs MMGPU_GUARDED_BY(mutex);
     std::set<trace::KernelProfile> profiles MMGPU_GUARDED_BY(mutex);
     Map entries MMGPU_GUARDED_BY(mutex);
+
+    /** The attached fault plan (setFaultPlan); lives here, on the
+     *  heap, so the runner stays movable. */
+    std::atomic<const fault::FaultPlan *> faultPlan{nullptr};
 };
 
 /**
@@ -215,8 +220,7 @@ ScalingRunner::Entry &
 ScalingRunner::ensure(const sim::GpuConfig &config,
                       const trace::KernelProfile &profile,
                       double link_energy_scale,
-                      double const_growth_override,
-                      const std::atomic<bool> *cancel)
+                      double const_growth_override)
 {
     RunPoint point{link_energy_scale, const_growth_override, &config,
                    &profile};
@@ -236,7 +240,7 @@ ScalingRunner::ensure(const sim::GpuConfig &config,
     std::call_once(entry->once, [&] {
         Result<RunOutcome> computed =
             compute(config, profile, link_energy_scale,
-                    const_growth_override, cancel);
+                    const_growth_override);
         if (computed.ok())
             entry->outcome = std::move(computed.value());
         else
@@ -253,7 +257,7 @@ ScalingRunner::run(const sim::GpuConfig &config,
                    double const_growth_override)
 {
     Entry &entry = ensure(config, profile, link_energy_scale,
-                          const_growth_override, nullptr);
+                          const_growth_override);
     if (entry.error) {
         mmgpu_fatal("run ", config.name, "|", profile.name,
                     " failed: ", entry.error->describe());
@@ -265,14 +269,19 @@ Result<const RunOutcome *>
 ScalingRunner::tryRun(const sim::GpuConfig &config,
                       const trace::KernelProfile &profile,
                       double link_energy_scale,
-                      double const_growth_override,
-                      const std::atomic<bool> *cancel)
+                      double const_growth_override)
 {
     Entry &entry = ensure(config, profile, link_energy_scale,
-                          const_growth_override, cancel);
+                          const_growth_override);
     if (entry.error)
         return *entry.error;
     return Result<const RunOutcome *>(&entry.outcome);
+}
+
+void
+ScalingRunner::setFaultPlan(const fault::FaultPlan *plan)
+{
+    cache_->faultPlan.store(plan, std::memory_order_release);
 }
 
 bool
@@ -293,8 +302,7 @@ Result<RunOutcome>
 ScalingRunner::compute(const sim::GpuConfig &config,
                        const trace::KernelProfile &profile,
                        double link_energy_scale,
-                       double const_growth_override,
-                       const std::atomic<bool> *cancel) const
+                       double const_growth_override) const
 {
     // Invalid configurations surface as errors instead of the fatal
     // GpuSim would raise, so one bad point cannot kill a sweep.
@@ -303,10 +311,13 @@ ScalingRunner::compute(const sim::GpuConfig &config,
 
     // Injected harness faults, matched by point name: a forced
     // failure reports immediately; a forced hang stalls until the
-    // watchdog cancels it (or, with no watchdog, until the plan's
-    // hang window elapses and the point proceeds normally).
-    if (faultPlan_ != nullptr && faultPlan_->harness.enabled()) {
-        const fault::HarnessFaultSpec &spec = faultPlan_->harness;
+    // plan's hang window elapses or the plan is detached or
+    // replaced, then the point proceeds normally. The wait compares
+    // pointers only, so a detached plan is never read again.
+    const fault::FaultPlan *plan =
+        cache_->faultPlan.load(std::memory_order_acquire);
+    if (plan != nullptr && plan->harness.enabled()) {
+        const fault::HarnessFaultSpec &spec = plan->harness;
         if (fault::HarnessFaultSpec::matches(spec.failPoints,
                                              config.name,
                                              profile.name)) {
@@ -320,15 +331,10 @@ ScalingRunner::compute(const sim::GpuConfig &config,
             const std::int64_t deadline =
                 wallclock::nowMs() +
                 static_cast<std::int64_t>(spec.hangSeconds * 1000.0);
-            while (wallclock::nowMs() < deadline) {
-                if (cancel != nullptr &&
-                    cancel->load(std::memory_order_acquire)) {
-                    return SimError::timeout(
-                        "watchdog cancelled hung point " +
-                        config.name + "|" + profile.name);
-                }
+            while (wallclock::nowMs() < deadline &&
+                   cache_->faultPlan.load(std::memory_order_acquire) ==
+                       plan)
                 wallclock::sleepMs(10);
-            }
         }
     }
 

@@ -14,7 +14,6 @@
 #ifndef MMGPU_HARNESS_STUDY_HH
 #define MMGPU_HARNESS_STUDY_HH
 
-#include <atomic>
 #include <compare>
 #include <cstdint>
 #include <memory>
@@ -235,32 +234,30 @@ class ScalingRunner
 
     /**
      * Like run(), but failures (invalid configurations, injected
-     * harness faults, watchdog cancellation) come back as a SimError
+     * harness faults, simulator panics) come back as a SimError
      * instead of killing the process — what ParallelRunner uses to
      * isolate a poisoned point from the rest of a sweep. The error
      * is memoized like an outcome (a failed point fails fast on
      * re-query); errors are never written to the persistent cache.
-     *
-     * @param cancel Optional cooperative cancellation flag (the
-     *        watchdog sets it); polled while an injected hang waits.
      */
     Result<const RunOutcome *>
     tryRun(const sim::GpuConfig &config,
            const trace::KernelProfile &profile,
            double link_energy_scale = 1.0,
-           double const_growth_override = -1.0,
-           const std::atomic<bool> *cancel = nullptr);
+           double const_growth_override = -1.0);
 
     /**
      * Inject @p plan's harness faults (forced point failures and
-     * hangs) into subsequent computations; nullptr detaches. The
-     * plan must outlive the runner. Sensor faults are a calibration
-     * concern (StudyContext); link faults ride in GpuConfig.
+     * hangs) into subsequent computations; nullptr detaches. Safe
+     * to call while other threads compute. Detaching or replacing
+     * the plan ends every injected hang waiting on it: a waiting
+     * hang reads only the runner's current plan pointer, never the
+     * plan. The plan must stay alive while a computation may still
+     * be matching points against it. Sensor faults are a
+     * calibration concern (StudyContext); link faults ride in
+     * GpuConfig.
      */
-    void setFaultPlan(const fault::FaultPlan *plan)
-    {
-        faultPlan_ = plan;
-    }
+    void setFaultPlan(const fault::FaultPlan *plan);
 
     /** @return true when the point is already memoized (completed). */
     bool cached(const sim::GpuConfig &config,
@@ -322,14 +319,12 @@ class ScalingRunner
     Entry &ensure(const sim::GpuConfig &config,
                   const trace::KernelProfile &profile,
                   double link_energy_scale,
-                  double const_growth_override,
-                  const std::atomic<bool> *cancel);
+                  double const_growth_override);
 
     Result<RunOutcome> compute(const sim::GpuConfig &config,
                                const trace::KernelProfile &profile,
                                double link_energy_scale,
-                               double const_growth_override,
-                               const std::atomic<bool> *cancel) const;
+                               double const_growth_override) const;
 
     /**
      * The machine-driving tail of compute(): acquire, run, estimate,
@@ -346,7 +341,6 @@ class ScalingRunner
     std::unique_ptr<Cache> cache_;
     std::unique_ptr<MachinePool> machines_;
     RunCache *persistent_ = nullptr;
-    const fault::FaultPlan *faultPlan_ = nullptr;
     bool persistentReads_ = true;
     bool telemetryEnabled_ = false;
     double telemetryDt_ = 0.0;

@@ -174,8 +174,9 @@ ServeClient::shouldRetry(const Result<Response> &result,
             close();
             return true;
         }
-        // Timeout: the daemon's watchdog verdict stands. Parse: the
-        // response itself is broken — retrying cannot fix either.
+        // Timeout: this attempt's budget is spent, and the work may
+        // still be running. Parse: the response itself is broken —
+        // retrying cannot fix either.
         return false;
     }
     const Response &response = result.value();

@@ -24,8 +24,8 @@
  *     re-sent request is answered from cache if it already finished;
  *   - "timeout", "poisoned", "config", and "parse" never retry:
  *     poisoned work is quarantined precisely because retrying it
- *     kills shards, and the rest are caller mistakes or deliberate
- *     watchdog verdicts.
+ *     kills shards, a timeout means the caller's own budget is
+ *     spent, and the rest are caller mistakes.
  *
  * Backoff jitter draws from a deterministic seeded stream
  * (common/rng.hh), so a soak that replays the same request sequence

@@ -23,9 +23,9 @@ breakerClassOf(RequestType type)
 
 /**
  * Server-side failure classification: errors the *service* owns
- * (timeouts, crashes, injected faults, internal bugs) feed the
- * circuit breaker as failures; client mistakes (bad config, parse
- * errors) count as successes.
+ * (crashes, injected faults, internal bugs) feed the circuit
+ * breaker as failures; client mistakes (bad config, parse errors)
+ * count as successes.
  */
 bool
 serverSideFailure(const Response &response)
@@ -33,7 +33,6 @@ serverSideFailure(const Response &response)
     if (response.status != ResponseStatus::Error)
         return false;
     switch (response.code) {
-      case ErrCode::Timeout:
       case ErrCode::InjectedFault:
       case ErrCode::Internal:
       case ErrCode::Unavailable:
@@ -46,7 +45,7 @@ serverSideFailure(const Response &response)
 /** Latency observations retained for the percentile estimates. */
 constexpr std::size_t latencyRingCap = 1024;
 
-/** Watchdog / housekeeping poll granularity. */
+/** Housekeeping poll granularity. */
 constexpr std::int64_t pollMs = 50;
 
 /**
@@ -96,7 +95,7 @@ SimService::SimService(const ServeOptions &options,
       router_(options.shards, options.routerSlack),
       supervisor_(options.supervisor),
       breaker_(breakerClasses, options.breaker),
-      tel_(telemetry::TelemetryConfig{})
+      tel_(telemetry::TelemetryConfig{}), busy_(options.shards)
 {
     mmgpu_assert(options.shards > 0, "service needs >= 1 shard");
     shardPending_.assign(options.shards, 0);
@@ -104,12 +103,6 @@ SimService::SimService(const ServeOptions &options,
         shardSites_.push_back(
             prof::dynamicSite("serve/shard" + std::to_string(i)));
         shardQueues_.push_back(std::make_unique<ShardQueue>());
-        busySinceMs_.push_back(
-            std::make_unique<std::atomic<std::int64_t>>(0));
-        cancel_.push_back(
-            std::make_unique<std::atomic<bool>>(false));
-        generation_.push_back(
-            std::make_unique<std::atomic<std::uint64_t>>(0));
     }
     telemetry::CounterRegistry &reg = tel_.counters();
     cAccepted_ = &reg.counter("serve/accepted");
@@ -459,17 +452,11 @@ SimService::workerLoop(std::size_t shard)
 void
 SimService::execute(std::size_t shard, const Job &job)
 {
-    // New job epoch: the watchdog cancels only against the
-    // generation it observed, so a cancel aimed at the previous job
-    // cannot land on this one.
-    generation_[shard]->fetch_add(1);
-    cancel_[shard]->store(false);
-    busySinceMs_[shard]->store(wallclock::nowMs());
-
+    busy_[shard].store(true);
     std::int64_t job_start_ns = wallclock::nowNs();
     Response response;
     std::string crash_msg;
-    bool crashed = runGuarded(shard, job, response, crash_msg);
+    bool crashed = runGuarded(job, response, crash_msg);
     auto job_ns = static_cast<std::uint64_t>(wallclock::nowNs() -
                                              job_start_ns);
     shardSites_[shard]->addSample(job_ns, job_ns);
@@ -479,11 +466,10 @@ SimService::execute(std::size_t shard, const Job &job)
         return;
     }
 
-    busySinceMs_[shard]->store(0);
-    generation_[shard]->fetch_add(1); // idle epoch
+    busy_[shard].store(false);
     router_.release(shard);
 
-    // Server-side failures (timeout, injected fault, internal error)
+    // Server-side failures (crash, injected fault, internal error)
     // feed the breaker; client mistakes count as success.
     bool failure = serverSideFailure(response);
     if (!failure)
@@ -522,17 +508,16 @@ SimService::execute(std::size_t shard, const Job &job)
 }
 
 bool
-SimService::runGuarded(std::size_t shard, const Job &job,
-                       Response &response, std::string &crash_msg)
+SimService::runGuarded(const Job &job, Response &response,
+                       std::string &crash_msg)
 {
     try {
         PanicScope supervised;
         std::uint64_t job_index = jobsExecuted_.fetch_add(1) + 1;
         maybeInjectCrash(job_index, job.request);
         response = job.request.type == RequestType::Run
-                       ? executeRun(job.request, cancel_[shard].get())
-                       : executeStudy(job.request,
-                                      cancel_[shard].get());
+                       ? executeRun(job.request)
+                       : executeStudy(job.request);
         return false;
     } catch (const Panic &panic) {
         crash_msg = panic.message;
@@ -565,8 +550,7 @@ void
 SimService::crashRecover(std::size_t shard, const Job &job,
                          const std::string &crash_msg)
 {
-    busySinceMs_[shard]->store(0);
-    generation_[shard]->fetch_add(1); // idle epoch
+    busy_[shard].store(false);
     router_.release(shard);
 
     const std::uint64_t identity = job.request.workIdentity();
@@ -648,8 +632,7 @@ SimService::answerSinks(std::uint64_t identity,
 }
 
 Response
-SimService::executeRun(const Request &request,
-                       const std::atomic<bool> *cancel)
+SimService::executeRun(const Request &request)
 {
     const RunSpec &spec = request.spec;
     sim::GpuConfig config = spec.config();
@@ -667,17 +650,16 @@ SimService::executeRun(const Request &request,
         std::lock_guard<sync::Mutex> tlock(telMutex_);
         cSims_->add();
     }
-    Result<const harness::RunOutcome *> outcome = runner_.tryRun(
-        config, *profile, spec.linkEnergyScale,
-        spec.constGrowthOverride, cancel);
+    Result<const harness::RunOutcome *> outcome =
+        runner_.tryRun(config, *profile, spec.linkEnergyScale,
+                       spec.constGrowthOverride);
     if (!outcome.ok())
         return Response::error(request.id, outcome.error());
     return Response::ok(request.id, encodeOutcome(*outcome.value()));
 }
 
 Response
-SimService::executeStudy(const Request &request,
-                         const std::atomic<bool> *cancel)
+SimService::executeStudy(const Request &request)
 {
     const RunSpec &spec = request.spec;
     sim::GpuConfig config = spec.config();
@@ -710,7 +692,7 @@ SimService::executeStudy(const Request &request,
             cSims_->add();
         }
         Result<const harness::RunOutcome *> one =
-            runner_.tryRun(baseline, profile, 1.0, -1.0, cancel);
+            runner_.tryRun(baseline, profile);
         if (!one.ok())
             return Response::error(request.id, one.error());
         if (!runner_.cached(config, profile, spec.linkEnergyScale,
@@ -718,9 +700,9 @@ SimService::executeStudy(const Request &request,
             std::lock_guard<sync::Mutex> tlock(telMutex_);
             cSims_->add();
         }
-        Result<const harness::RunOutcome *> scaled = runner_.tryRun(
-            config, profile, spec.linkEnergyScale,
-            spec.constGrowthOverride, cancel);
+        Result<const harness::RunOutcome *> scaled =
+            runner_.tryRun(config, profile, spec.linkEnergyScale,
+                           spec.constGrowthOverride);
         if (!scaled.ok())
             return Response::error(request.id, scaled.error());
     }
@@ -853,8 +835,8 @@ std::size_t
 SimService::busyShardCount() const
 {
     std::size_t busy = 0;
-    for (const auto &since : busySinceMs_)
-        if (since->load() != 0)
+    for (const std::atomic<bool> &flag : busy_)
+        if (flag.load())
             ++busy;
     return busy;
 }
@@ -918,31 +900,6 @@ SimService::housekeepLoop()
     std::int64_t lastSample = wallclock::nowMs();
     while (!stopHousekeeper_.load()) {
         wallclock::sleepMs(pollMs);
-
-        // Watchdog: cancel any shard stuck past its budget. tryRun
-        // polls the flag at its cooperative points (injected hangs),
-        // so a hung point comes back as a timeout error response and
-        // the shard moves on — blast radius is one request.
-        if (options_.watchdogSeconds > 0.0) {
-            std::int64_t now = wallclock::nowMs();
-            std::int64_t budget = static_cast<std::int64_t>(
-                options_.watchdogSeconds * 1000.0);
-            for (std::size_t i = 0; i < busySinceMs_.size(); ++i) {
-                std::uint64_t gen = generation_[i]->load();
-                std::int64_t since = busySinceMs_[i]->load();
-                if (since == 0 || now - since <= budget)
-                    continue;
-                if (generation_[i]->load() != gen)
-                    continue; // job turned over mid-observation
-                cancel_[i]->store(true);
-                // If a fresh job slipped in between the check and
-                // the store, retract: a job milliseconds old cannot
-                // be over budget, and it will be re-judged against
-                // its own epoch on a later tick.
-                if (generation_[i]->load() != gen)
-                    cancel_[i]->store(false);
-            }
-        }
 
         std::int64_t now = wallclock::nowMs();
         if (now - lastSample < options_.sampleMs)

@@ -16,9 +16,11 @@
  * identity matches an in-flight job *attaches* to it as an extra
  * subscriber, and completed work is served from the runner's memo
  * cache (and the persistent cache across restarts). A housekeeper
- * thread samples service health into a bounded timeseries, arms the
- * per-shard watchdog that cancels hung points, and the attached run
- * cache's background flush persists warm entries between requests.
+ * thread samples service health into a bounded timeseries, and the
+ * attached run cache's background flush persists warm entries
+ * between requests. Nothing cancels a running job: a point that
+ * never finishes holds its shard, and the client's own timeout
+ * bounds what its caller waits.
  *
  * Threading: submit() is safe from any thread (socket connection
  * handlers call it concurrently); responses are delivered on worker
@@ -59,7 +61,6 @@ struct ServeOptions
 {
     std::size_t shards = 2;        //!< worker shard count
     std::size_t queueDepth = 64;   //!< admission bound
-    double watchdogSeconds = 30.0; //!< per-job budget; 0 disables
     double cacheFlushSec = 0.0;    //!< run-cache background flush; 0
                                    //!< defers to MMGPU_CACHE_FLUSH_SEC
     std::int64_t sampleMs = 200;   //!< health-sample period
@@ -233,8 +234,8 @@ class SimService
      * crashed; @p crash_msg then holds the panic text, otherwise
      * @p response holds the answer.
      */
-    bool runGuarded(std::size_t shard, const Job &job,
-                    Response &response, std::string &crash_msg);
+    bool runGuarded(const Job &job, Response &response,
+                    std::string &crash_msg);
 
     /** Injected chaos: panic when the fault plan targets this job. */
     void maybeInjectCrash(std::uint64_t job_index,
@@ -254,11 +255,9 @@ class SimService
     void answerSinks(std::uint64_t identity, const Response &response)
         MMGPU_EXCLUDES(inflightMutex_);
 
-    /** Run/Study bodies; @p cancel is the shard watchdog flag. */
-    Response executeRun(const Request &request,
-                        const std::atomic<bool> *cancel);
-    Response executeStudy(const Request &request,
-                          const std::atomic<bool> *cancel);
+    /** Run/Study bodies. */
+    Response executeRun(const Request &request);
+    Response executeStudy(const Request &request);
     Response statsResponse(const std::string &id);
     Response profResponse(const std::string &id);
 
@@ -316,13 +315,8 @@ class SimService
     // verbs report them whether or not MMGPU_PROFILE is set.
     std::vector<prof::Site *> shardSites_;
 
-    // Per-shard watchdog state: busySinceMs_ == 0 means idle.
-    // generation_ stamps job epochs (bumped at job start and end) so
-    // the watchdog only cancels the job it actually observed as
-    // over-budget, never a fresh one that took the shard since.
-    std::vector<std::unique_ptr<std::atomic<std::int64_t>>> busySinceMs_;
-    std::vector<std::unique_ptr<std::atomic<bool>>> cancel_;
-    std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> generation_;
+    // Per-shard "mid-job" flags, for busyShardCount().
+    std::vector<std::atomic<bool>> busy_;
 
     // Health timeseries + latency ring (statsMutex_).
     mutable sync::Mutex statsMutex_;

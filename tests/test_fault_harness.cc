@@ -1,11 +1,11 @@
 /**
  * @file
  * Harness robustness under injected faults: a poisoned sweep point
- * (forced failure or hang) must be isolated — reported in the
- * DrainReport while every other point completes — watchdogs must
- * cancel hangs, checkpointed sweeps must resume from disk without
- * recompute, and degraded-mode (link-fault) sweeps must stay
- * bit-identical across worker counts.
+ * must be isolated — reported in the DrainReport while every other
+ * point completes — an injected hang must end when its window
+ * elapses or its plan is detached, checkpointed sweeps must resume
+ * from disk without recompute, and degraded-mode (link-fault)
+ * sweeps must stay bit-identical across worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +13,13 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/wallclock.hh"
 #include "fault/fault_plan.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/run_cache.hh"
@@ -135,38 +138,7 @@ TEST(FaultHarness, InvalidConfigFailsAsConfigError)
               std::string::npos);
 }
 
-TEST(FaultHarness, WatchdogCancelsInjectedHang)
-{
-    auto config = sim::multiGpmConfig(2, sim::BwSetting::Bw2x);
-    auto workloads = sweepWorkloads();
-
-    fault::FaultPlan plan;
-    plan.harness.hangPoints.push_back(config.name + "|fh1");
-    plan.harness.hangSeconds = 30.0; // would stall without a watchdog
-
-    ScalingRunner runner(context());
-    runner.attachPersistentCache(nullptr);
-    runner.setFaultPlan(&plan);
-    ParallelRunner pool(runner, 2);
-    pool.setWatchdog(0.2);
-    pool.enqueueStudy(config, workloads);
-    std::size_t total = pool.pending();
-
-    auto begin = std::chrono::steady_clock::now();
-    DrainReport report = pool.drain();
-    double elapsed = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - begin)
-                         .count();
-
-    // The watchdog fired long before the 30 s hang would end.
-    EXPECT_LT(elapsed, 15.0);
-    ASSERT_EQ(report.failures.size(), 1u);
-    EXPECT_EQ(report.failures.front().error.code, ErrCode::Timeout);
-    EXPECT_EQ(report.failures.front().key.profile.name, "fh1");
-    EXPECT_EQ(report.completed, total - 1);
-}
-
-TEST(FaultHarness, ShortHangCompletesWithoutWatchdog)
+TEST(FaultHarness, ShortHangElapsesAndThePointCompletes)
 {
     auto config = sim::multiGpmConfig(2, sim::BwSetting::Bw2x);
     auto workloads = sweepWorkloads();
@@ -182,9 +154,62 @@ TEST(FaultHarness, ShortHangCompletesWithoutWatchdog)
     pool.enqueueStudy(config, workloads);
     DrainReport report = pool.drain();
 
-    // No watchdog: the hang runs its course and the point completes.
+    // The hang runs its course and the point completes.
     EXPECT_TRUE(report.ok());
     EXPECT_TRUE(runner.cached(config, workloads[2]));
+}
+
+TEST(FaultHarness, DetachingThePlanReleasesAHang)
+{
+    auto config = sim::multiGpmConfig(2, sim::BwSetting::Bw2x);
+    auto workloads = sweepWorkloads();
+    const sim::GpuConfig baseline = sim::baselineConfig();
+
+    fault::FaultPlan plan;
+    // The batch's first job, so one worker is in the hang while the
+    // other computes every remaining point.
+    plan.harness.hangPoints.push_back(baseline.name + "|fh1");
+    plan.harness.hangSeconds = 30.0;
+
+    ScalingRunner runner(context());
+    runner.attachPersistentCache(nullptr);
+    runner.setFaultPlan(&plan);
+    ParallelRunner pool(runner, 2);
+    pool.enqueueStudy(config, workloads);
+    const std::size_t total = pool.pending();
+
+    auto begin = std::chrono::steady_clock::now();
+    DrainReport report;
+    std::thread drainer([&] { report = pool.drain(); });
+
+    // Detach once every other point is memoized: the hung point is
+    // then the only one left, and still waiting.
+    auto others_done = [&] {
+        for (const auto &profile : workloads) {
+            if (!runner.cached(config, profile))
+                return false;
+            if (profile.name != "fh1" &&
+                !runner.cached(baseline, profile))
+                return false;
+        }
+        return true;
+    };
+    const std::int64_t deadline = wallclock::nowMs() + 60000;
+    while (!others_done() && wallclock::nowMs() < deadline)
+        wallclock::sleepMs(10);
+    EXPECT_TRUE(others_done());
+    EXPECT_FALSE(runner.cached(baseline, workloads[0]));
+    runner.setFaultPlan(nullptr);
+    drainer.join();
+    double elapsed = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - begin)
+                         .count();
+
+    // Released by the detach, long before the 30 s window ends.
+    EXPECT_LT(elapsed, 15.0);
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.completed, total);
+    EXPECT_TRUE(runner.cached(baseline, workloads[0]));
 }
 
 TEST(FaultHarness, CheckpointedSweepResumesWithoutRecompute)

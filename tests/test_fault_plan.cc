@@ -11,6 +11,7 @@
 
 #include "common/fields.hh"
 #include "fault/fault_plan.hh"
+#include "field_perturbation.hh"
 
 namespace
 {
@@ -100,29 +101,53 @@ TEST(FaultPlan, DisabledByDefault)
 
 TEST(FaultPlan, FingerprintCoversEveryKnob)
 {
+    // Every vector non-empty, so element leaves are perturbed too.
     FaultPlan base;
-    std::uint64_t fp = base.fingerprint();
-    EXPECT_EQ(FaultPlan{}.fingerprint(), fp); // stable
+    base.sensor = defaultSensorFaults();
+    base.harness.failPoints.push_back("bfs");
+    base.harness.hangPoints.push_back("8-GPM|stream");
+    base.serve.crashPoints.push_back("CoMD");
+    const std::uint64_t fp = base.fingerprint();
+    EXPECT_EQ(FaultPlan(base).fingerprint(), fp); // stable
 
-    FaultPlan reseeded;
-    reseeded.seed += 1;
-    EXPECT_NE(reseeded.fingerprint(), fp);
+    // seed, 6 sensor rates, 5 harness leaves (two lists with one
+    // element and a length each, hangSeconds), 7 serve leaves.
+    auto variants = test::perturbations(base);
+    EXPECT_GE(variants.size(), 19u);
+    for (const auto &[path, variant] : variants) {
+        SCOPED_TRACE("FaultPlan" + path);
+        EXPECT_NE(variant.fingerprint(), fp);
+    }
 
-    FaultPlan noisy;
-    noisy.sensor.dropoutRate = 0.08;
-    EXPECT_NE(noisy.fingerprint(), fp);
-
-    FaultPlan jittery;
-    jittery.sensor.jitterFraction = 0.25;
-    EXPECT_NE(jittery.fingerprint(), fp);
-
+    // The same point in a different list is a different plan.
     FaultPlan sabotaged;
     sabotaged.harness.failPoints.push_back("bfs");
-    EXPECT_NE(sabotaged.fingerprint(), fp);
-
     FaultPlan hung;
     hung.harness.hangPoints.push_back("bfs");
     EXPECT_NE(hung.fingerprint(), sabotaged.fingerprint());
+}
+
+TEST(FaultPlan, FingerprintDigestsArePinned)
+{
+    // Recorded with the hand-kept field list the visitor replaced. A
+    // sensor-fault campaign salts its calibration fingerprint with
+    // this digest (StudyContext), so a change here orphans that
+    // campaign's persisted run-cache entries.
+    EXPECT_EQ(FaultPlan{}.fingerprint(), 0x5fb6b087a6599883ull);
+
+    FaultPlan plan;
+    plan.seed = 0x123;
+    plan.sensor = defaultSensorFaults();
+    plan.harness.failPoints = {"bfs", "8-GPM|stream"};
+    plan.harness.hangPoints = {"Hotspot"};
+    plan.harness.hangSeconds = 0.5;
+    plan.serve.shardCrashEveryJobs = 5;
+    plan.serve.dispatcherStallAtJob = 3;
+    plan.serve.dispatcherStallMs = 250;
+    plan.serve.walTearAtAppend = 9;
+    plan.serve.connResetEveryWrites = 7;
+    plan.serve.crashPoints = {"CoMD"};
+    EXPECT_EQ(plan.fingerprint(), 0xcb4e7f4e680fe3c2ull);
 }
 
 TEST(FaultPlan, StreamsAreStablePerConsumerAndDistinct)

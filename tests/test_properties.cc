@@ -33,6 +33,18 @@ struct CacheGeometry
     unsigned assoc;
 };
 
+/** Names the case after its geometry (e.g. 2MiB_16way): gtest would
+ *  print the raw bytes, padding included, giving unstable names. */
+void
+PrintTo(const CacheGeometry &geometry, std::ostream *os)
+{
+    if (geometry.capacity % units::MiB == 0)
+        *os << geometry.capacity / units::MiB << "MiB";
+    else
+        *os << geometry.capacity / units::KiB << "KiB";
+    *os << '_' << geometry.assoc << "way";
+}
+
 class CacheProperty : public ::testing::TestWithParam<CacheGeometry>
 {
 };

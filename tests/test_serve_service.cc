@@ -3,7 +3,7 @@
  * Tests for the SimService engine and its socket front end:
  * bit-identity of served results against direct in-process
  * execution, in-flight dedup (one simulation per work identity),
- * bounded-queue backpressure, watchdog containment of hung points,
+ * bounded-queue backpressure, shard rerouting around a hung point,
  * admission/router unit behavior, and live-socket fuzz — a daemon
  * fed garbage must answer with error lines, not die.
  */
@@ -59,6 +59,44 @@ struct ServiceFixture
 
     SimService service;
 };
+
+/**
+ * Attaches a fault plan to a service's runner for one scope. The
+ * destructor detaches it, which releases every injected hang at
+ * once, so a failed ASSERT cannot leave a shard hung for the plan's
+ * whole window while the fixture's join() waits on it. Declare it
+ * after the plan, so the plan outlives the attachment.
+ */
+class PlanAttachment
+{
+  public:
+    PlanAttachment(SimService &service, const fault::FaultPlan &plan)
+        : runner_(service.runner())
+    {
+        runner_.setFaultPlan(&plan);
+    }
+    ~PlanAttachment() { detach(); }
+
+    PlanAttachment(const PlanAttachment &) = delete;
+    PlanAttachment &operator=(const PlanAttachment &) = delete;
+
+    /** Release every injected hang now. */
+    void detach() { runner_.setFaultPlan(nullptr); }
+
+  private:
+    harness::ScalingRunner &runner_;
+};
+
+/** Block (bounded) until @p service has a shard mid-job. */
+bool
+waitUntilBusy(SimService &service)
+{
+    const std::int64_t deadline = wallclock::nowMs() + 5000;
+    while (service.stats().busyShards == 0 &&
+           wallclock::nowMs() < deadline)
+        wallclock::sleepMs(10);
+    return service.stats().busyShards > 0;
+}
 
 Request
 runRequest(const std::string &workload, unsigned gpms,
@@ -167,46 +205,14 @@ TEST(ServeService, UnknownWorkloadFailsThePointNotTheService)
     EXPECT_EQ(fixture.service.stats().failed, 1u);
 }
 
-TEST(ServeService, WatchdogContainsAHungPoint)
-{
-    ServeOptions options;
-    options.shards = 1;
-    options.watchdogSeconds = 0.2;
-    ServiceFixture fixture(options);
-
-    fault::FaultPlan plan;
-    plan.harness.hangPoints.push_back("Hotspot");
-    plan.harness.hangSeconds = 30.0;
-    fixture.service.runner().setFaultPlan(&plan);
-
-    std::int64_t start = wallclock::nowMs();
-    Response hung =
-        fixture.service.call(runRequest("Hotspot", 2, "h1"));
-    EXPECT_EQ(hung.status, ResponseStatus::Error);
-    EXPECT_EQ(hung.code, ErrCode::Timeout) << hung.message;
-    // Reclaimed by the watchdog, not by the 30 s hang expiring.
-    EXPECT_LT(wallclock::nowMs() - start, 10000);
-
-    // The shard is reusable afterwards.
-    fixture.service.runner().setFaultPlan(nullptr);
-    Response next =
-        fixture.service.call(runRequest("Stream", 2, "h2"));
-    EXPECT_EQ(next.status, ResponseStatus::Ok) << next.message;
-}
-
 TEST(ServeService, FullQueueRejectsInsteadOfBlocking)
 {
     ServeOptions options;
     options.shards = 1;
     options.queueDepth = 1;
-    options.watchdogSeconds = 2.0;
-    ServiceFixture fixture(options);
 
-    fault::FaultPlan plan;
-    plan.harness.hangPoints.push_back("BFS");
-    plan.harness.hangSeconds = 30.0;
-    fixture.service.runner().setFaultPlan(&plan);
-
+    // Declared before the service: its sinks may still fire while
+    // the fixture joins.
     std::mutex mutex;
     std::condition_variable cv;
     std::size_t done = 0;
@@ -219,19 +225,22 @@ TEST(ServeService, FullQueueRejectsInsteadOfBlocking)
         cv.notify_all();
     };
 
+    ServiceFixture fixture(options);
+    fault::FaultPlan plan;
+    plan.harness.hangPoints.push_back("BFS");
+    plan.harness.hangSeconds = 30.0;
+    PlanAttachment attached(fixture.service, plan);
+
     // Occupy the single shard with a hang, then wait until it is
     // actually running so the flood below meets a busy service.
     fixture.service.submit(runRequest("BFS", 2, "hog"), sink);
-    std::int64_t deadline = wallclock::nowMs() + 5000;
-    while (fixture.service.stats().busyShards == 0 &&
-           wallclock::nowMs() < deadline)
-        wallclock::sleepMs(10);
-    ASSERT_GT(fixture.service.stats().busyShards, 0u);
+    ASSERT_TRUE(waitUntilBusy(fixture.service));
 
     // Distinct work identities (the energy knob is part of the
-    // fingerprint) so none of them dedup-attach. The pipeline can
-    // absorb queueDepth + the shard prefetch slot + one in the
-    // dispatcher's hand; eight must overflow it.
+    // fingerprint) so none of them dedup-attach. While the hog holds
+    // the shard, the pipeline absorbs queueDepth + the shard
+    // prefetch slot + one in the dispatcher's hand; eight must
+    // overflow it.
     const int flood = 8;
     for (int i = 0; i < flood; ++i) {
         Request request =
@@ -239,6 +248,15 @@ TEST(ServeService, FullQueueRejectsInsteadOfBlocking)
         request.spec.linkEnergyScale = 1.0 + 0.125 * (i + 1);
         fixture.service.submit(std::move(request), sink);
     }
+
+    // A rejection is answered while the hog still hangs; only then
+    // release it and let the admitted work drain.
+    {
+        std::unique_lock<std::mutex> lock(mutex);
+        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                                [&] { return rejected > 0; }));
+    }
+    attached.detach();
 
     std::unique_lock<std::mutex> lock(mutex);
     ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60), [&] {
@@ -252,14 +270,9 @@ TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
 {
     ServeOptions options;
     options.shards = 2;
-    options.watchdogSeconds = 3.0;
-    ServiceFixture fixture(options);
 
-    fault::FaultPlan plan;
-    plan.harness.hangPoints.push_back("BFS");
-    plan.harness.hangSeconds = 30.0;
-    fixture.service.runner().setFaultPlan(&plan);
-
+    // Declared before the service: its sinks may still fire while
+    // the fixture joins.
     std::mutex mutex;
     std::condition_variable cv;
     int bfs_done = 0;
@@ -271,15 +284,17 @@ TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
         cv.notify_all();
     };
 
+    ServiceFixture fixture(options);
+    fault::FaultPlan plan;
+    plan.harness.hangPoints.push_back("BFS");
+    plan.harness.hangSeconds = 30.0;
+    PlanAttachment attached(fixture.service, plan);
+
     // Two hangs with the same machine identity: the first occupies
     // a shard, the second lands in that shard's prefetch slot via
     // affinity.
     fixture.service.submit(runRequest("BFS", 2, "hog1"), bfs_sink);
-    std::int64_t deadline = wallclock::nowMs() + 5000;
-    while (fixture.service.stats().busyShards == 0 &&
-           wallclock::nowMs() < deadline)
-        wallclock::sleepMs(10);
-    ASSERT_GT(fixture.service.stats().busyShards, 0u);
+    ASSERT_TRUE(waitUntilBusy(fixture.service));
     Request hog2 = runRequest("BFS", 2, "hog2");
     hog2.spec.linkEnergyScale = 1.5; // distinct work identity
     fixture.service.submit(std::move(hog2), bfs_sink);
@@ -302,19 +317,16 @@ TEST(ServeService, FullShardPrefetchDoesNotStarveIdleShards)
         std::unique_lock<std::mutex> lock(mutex);
         ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
                                 [&] { return probe_done; }));
-        // The probe finished by rerouting, not by waiting for the
-        // watchdog to clear the warm shard first.
+        // Both hangs last until the detach below, so the probe can
+        // only have finished by rerouting to the idle shard.
         EXPECT_EQ(bfs_done_at_probe, 0);
     }
 
-    // Let the watchdog reclaim both hangs before the fault plan
-    // (stack-owned) goes out of scope under the service.
-    {
-        std::unique_lock<std::mutex> lock(mutex);
-        ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                                [&] { return bfs_done == 2; }));
-    }
-    fixture.service.runner().setFaultPlan(nullptr);
+    // Release both hangs; they then compute and answer.
+    attached.detach();
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(60),
+                            [&] { return bfs_done == 2; }));
 }
 
 TEST(ServeService, ShutdownRejectsNewWorkButAnswersInlineVerbs)
