@@ -4,18 +4,25 @@
  * cache tag lookups, the event calendar (CTA-dispatch bursts and the
  * 32-GPM steady state), bandwidth-server arbitration, ring routing,
  * warp trace generation (standalone and through a shared launch
- * plan), and a small end-to-end simulation. These guard
+ * plan), the persistent run cache's open and insert, and a small
+ * end-to-end simulation. These guard
  * the simulator's own performance (a full Figure 10 sweep is ~200
  * simulations, so the inner loops matter).
  */
 
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include <benchmark/benchmark.h>
 
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "engine/calendar.hh"
 #include "engine/pool.hh"
+#include "harness/run_cache.hh"
 #include "mem/cache.hh"
 #include "mem/page_table.hh"
 #include "noc/bandwidth_server.hh"
@@ -206,6 +213,91 @@ BM_WarpStepSharedPlan(benchmark::State &state)
     }
 }
 BENCHMARK(BM_WarpStepSharedPlan);
+
+/** Give every field of @p value a value of full length: doubles with
+ *  52-bit mantissas, counts of up to eight digits. */
+template <typename T>
+void
+fillFields(T &value, Rng &rng)
+{
+    if constexpr (Visited<T>) {
+        forEachField(value, [&rng](const char *, auto &field) {
+            fillFields(field, rng);
+        });
+    } else if constexpr (fields_detail::IsArray<T>::value) {
+        for (auto &element : value)
+            fillFields(element, rng);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+        value = "bench-" + std::to_string(rng.below(1000));
+    } else if constexpr (std::is_same_v<T, double>) {
+        value = rng.uniform() * 1e6;
+    } else {
+        value = static_cast<T>(rng.below(100000000));
+    }
+}
+
+/**
+ * A scratch run cache laid out the way a restarted process finds
+ * one: @p entries records, the first 90% flushed to the snapshot and
+ * the rest only in the journal (as perfbench's cache_restart leaves
+ * it).
+ */
+struct ScratchCache
+{
+    std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("mmgpu-bench-cache-" + std::to_string(::getpid()));
+    std::string path = (dir / "runs.json").string();
+
+    explicit ScratchCache(std::size_t entries)
+    {
+        std::filesystem::remove_all(dir);
+        harness::RunCache cache(path);
+        Rng rng(7);
+        for (std::size_t i = 0; i < entries; ++i) {
+            sim::PerfResult perf;
+            joule::EnergyBreakdown energy;
+            fillFields(perf, rng);
+            fillFields(energy, rng);
+            cache.insert(rng.next(), perf, energy);
+            if (i + 1 == entries * 9 / 10)
+                cache.flush();
+        }
+    }
+
+    ~ScratchCache() { std::filesystem::remove_all(dir); }
+};
+
+void
+BM_RunCacheOpen(benchmark::State &state)
+{
+    // What every bench binary, the serve daemon and a restart pay
+    // before their first answer: load the snapshot, replay the WAL.
+    const ScratchCache scratch(3844);
+    for (auto _ : state) {
+        harness::RunCache cache(scratch.path);
+        benchmark::DoNotOptimize(cache.size());
+    }
+}
+BENCHMARK(BM_RunCacheOpen)->Unit(benchmark::kMillisecond);
+
+void
+BM_RunCacheInsert(benchmark::State &state)
+{
+    // One insert: encode the record and append it to the journal
+    // (fsync every 32 appends). Fixed iterations bound the WAL.
+    const ScratchCache scratch(0);
+    harness::RunCache cache(scratch.path);
+    Rng rng(11);
+    sim::PerfResult perf;
+    joule::EnergyBreakdown energy;
+    fillFields(perf, rng);
+    fillFields(energy, rng);
+    std::uint64_t key = 0;
+    for (auto _ : state)
+        cache.insert(++key, perf, energy);
+}
+BENCHMARK(BM_RunCacheInsert)->Iterations(4000)->Unit(benchmark::kMicrosecond);
 
 void
 BM_SmallSimulation(benchmark::State &state)

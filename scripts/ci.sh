@@ -91,7 +91,7 @@ perf_dir="build/perf-smoke"
 mkdir -p "${perf_dir}"
 cmake --build build -j "${jobs}" --target bench_components
 build/bench/bench_components \
-    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess|WarpStep' \
+    --benchmark_filter='Calendar|GenPool|PageTable|CacheAccess|WarpStep|RunCache' \
     --benchmark_min_time=0.1 \
     --benchmark_out="${perf_dir}/microbench.json" \
     --benchmark_out_format=json > /dev/null
@@ -112,12 +112,17 @@ grep -q '"sim/step_mem"' "${perf_dir}/prof.json"
 echo "perf-smoke ok: artifacts in ${perf_dir}/"
 # Informational, no threshold: CTA-dispatch bursts, the 32-GPM
 # calendar steady state and op generation through a shared launch
-# plan.
+# plan; then the run-cache codec: reopening a 3844-entry cache (90%
+# snapshot, 10% journal) and one journal-appending insert.
 echo "perf-smoke: calendar burst =" \
     "$(bench_cpu_time BM_CalendarScheduleSequential) ns," \
     "calendar pop+schedule @16384 =" \
     "$(bench_cpu_time BM_CalendarPopSchedule16K) ns," \
     "warp step via shared plan = $(bench_cpu_time BM_WarpStepSharedPlan) ns"
+echo "perf-smoke: run-cache open (3844 entries) =" \
+    "$(bench_cpu_time BM_RunCacheOpen) ms," \
+    "run-cache insert =" \
+    "$(bench_cpu_time BM_RunCacheInsert/iterations:4000) us"
 
 echo "== Header self-containment =="
 cmake --build build -j "${jobs}" --target header_selfcheck

@@ -1,61 +1,477 @@
 #include "common/json.hh"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iomanip>
-#include <sstream>
+#include <cstring>
 
 #include "common/logging.hh"
 
 namespace mmgpu
 {
 
+// ---- JsonWriter ----
+
+void
+JsonWriter::newline(std::size_t level)
+{
+    out_ += '\n';
+    out_.append(2 * level, ' ');
+}
+
+void
+JsonWriter::item()
+{
+    if (afterKey_) {
+        afterKey_ = false; // a member's value follows its key
+        return;
+    }
+    if (filled_.empty())
+        return; // the document's top-level value
+    if (filled_.back())
+        out_ += ',';
+    filled_.back() = 1;
+    if (pretty_)
+        newline(indent_ + filled_.size());
+}
+
+void
+JsonWriter::open(char bracket)
+{
+    item();
+    out_ += bracket;
+    filled_.push_back(0);
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    const bool filled = filled_.back();
+    filled_.pop_back();
+    if (pretty_ && filled)
+        newline(indent_ + filled_.size());
+    out_ += bracket;
+}
+
+void
+JsonWriter::key(std::string_view name)
+{
+    item();
+    escaped(name);
+    out_ += pretty_ ? ": " : ":";
+    afterKey_ = true;
+}
+
+void
+JsonWriter::string(std::string_view text)
+{
+    item();
+    escaped(text);
+}
+
+void
+JsonWriter::number(double value)
+{
+    item();
+    if (!std::isfinite(value)) {
+        out_ += "null"; // JSON has no Inf/NaN
+        return;
+    }
+    char buffer[32];
+    std::to_chars_result done;
+    if (value == std::floor(value) && std::abs(value) < 1e15)
+        done = std::to_chars(buffer, buffer + sizeof(buffer),
+                             static_cast<long long>(value));
+    else
+        done = std::to_chars(buffer, buffer + sizeof(buffer), value,
+                             std::chars_format::general);
+    out_.append(buffer, done.ptr);
+}
+
+void
+JsonWriter::boolean(bool value)
+{
+    item();
+    out_ += value ? "true" : "false";
+}
+
+void
+JsonWriter::null()
+{
+    item();
+    out_ += "null";
+}
+
+void
+JsonWriter::escaped(std::string_view text)
+{
+    static constexpr char hex[] = "0123456789abcdef";
+    out_ += '"';
+    std::size_t run = 0; // start of the pending unescaped bytes
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const auto ch = static_cast<unsigned char>(text[i]);
+        if (ch >= 0x20 && ch != '"' && ch != '\\')
+            continue;
+        out_.append(text.data() + run, i - run);
+        run = i + 1;
+        switch (ch) {
+          case '"':
+            out_ += "\\\"";
+            break;
+          case '\\':
+            out_ += "\\\\";
+            break;
+          case '\n':
+            out_ += "\\n";
+            break;
+          case '\t':
+            out_ += "\\t";
+            break;
+          case '\r':
+            out_ += "\\r";
+            break;
+          default:
+            out_ += "\\u00";
+            out_ += hex[ch >> 4];
+            out_ += hex[ch & 0xf];
+        }
+    }
+    out_.append(text.data() + run, text.size() - run);
+    out_ += '"';
+}
+
+// ---- JsonReader ----
+
 namespace
 {
 
-void
-writeEscaped(std::ostream &os, const std::string &text)
+/** Values nest at most this deep, scalars included. */
+constexpr int maxDepth = 64;
+
+int
+hexDigit(char ch)
 {
-    os << '"';
-    for (char ch : text) {
-        switch (ch) {
-          case '"':
-            os << "\\\"";
-            break;
-          case '\\':
-            os << "\\\\";
-            break;
-          case '\n':
-            os << "\\n";
-            break;
-          case '\t':
-            os << "\\t";
-            break;
-          case '\r':
-            os << "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(ch)
-                   << std::dec << std::setfill(' ');
-            } else {
-                os << ch;
-            }
-        }
-    }
-    os << '"';
+    if (ch >= '0' && ch <= '9')
+        return ch - '0';
+    if (ch >= 'a' && ch <= 'f')
+        return ch - 'a' + 10;
+    if (ch >= 'A' && ch <= 'F')
+        return ch - 'A' + 10;
+    return -1;
 }
 
-void
-indentTo(std::ostream &os, int level)
+/** strtod over all of @p text; false unless it consumes every byte. */
+bool
+strtodWhole(std::string_view text, double &out)
 {
-    for (int i = 0; i < level; ++i)
-        os << "  ";
+    char small[64];
+    std::string large;
+    const char *begin = small;
+    if (text.size() < sizeof(small)) {
+        std::memcpy(small, text.data(), text.size());
+        small[text.size()] = '\0';
+    } else {
+        large.assign(text);
+        begin = large.c_str();
+    }
+    char *end = nullptr;
+    out = std::strtod(begin, &end);
+    return !text.empty() && end == begin + text.size();
 }
 
 } // namespace
+
+bool
+JsonReader::startValue()
+{
+    skipSpace();
+    if (failed_ || depth_ >= maxDepth || pos_ >= text_.size())
+        return fail();
+    return true;
+}
+
+JsonReader::Kind
+JsonReader::peek()
+{
+    skipSpace();
+    if (failed_ || pos_ >= text_.size())
+        return Kind::End;
+    switch (text_[pos_]) {
+      case '{':
+        return Kind::Object;
+      case '[':
+        return Kind::Array;
+      case '"':
+        return Kind::String;
+      case 'n':
+        return Kind::Null;
+      case 't':
+      case 'f':
+        return Kind::Bool;
+      default:
+        return Kind::Number; // or garbage, which readNumber() rejects
+    }
+}
+
+void
+JsonReader::open()
+{
+    ++pos_;
+    fresh_ |= std::uint64_t{1} << depth_;
+    ++depth_;
+}
+
+void
+JsonReader::close()
+{
+    ++pos_;
+    --depth_;
+}
+
+bool
+JsonReader::beginObject()
+{
+    if (!startValue() || text_[pos_] != '{')
+        return fail();
+    open();
+    return true;
+}
+
+bool
+JsonReader::beginArray()
+{
+    if (!startValue() || text_[pos_] != '[')
+        return fail();
+    open();
+    return true;
+}
+
+bool
+JsonReader::nextKey(std::string_view &key)
+{
+    skipSpace();
+    if (failed_ || depth_ == 0 || pos_ >= text_.size())
+        return fail();
+    const std::uint64_t bit = std::uint64_t{1} << (depth_ - 1);
+    const bool first = fresh_ & bit;
+    fresh_ &= ~bit;
+    if (text_[pos_] == '}') {
+        close();
+        return false;
+    }
+    if (!first) {
+        if (text_[pos_] != ',')
+            return fail();
+        ++pos_;
+        skipSpace();
+    }
+    if (pos_ >= text_.size() || text_[pos_] != '"' || !scanString(key))
+        return fail();
+    skipSpace();
+    if (pos_ >= text_.size() || text_[pos_] != ':')
+        return fail();
+    ++pos_;
+    return true;
+}
+
+bool
+JsonReader::nextElement()
+{
+    skipSpace();
+    if (failed_ || depth_ == 0 || pos_ >= text_.size())
+        return fail();
+    const std::uint64_t bit = std::uint64_t{1} << (depth_ - 1);
+    const bool first = fresh_ & bit;
+    fresh_ &= ~bit;
+    if (text_[pos_] == ']') {
+        close();
+        return false;
+    }
+    if (first)
+        return true;
+    if (text_[pos_] != ',')
+        return fail();
+    ++pos_;
+    return true;
+}
+
+bool
+JsonReader::readString(std::string_view &out)
+{
+    if (!startValue() || text_[pos_] != '"')
+        return fail();
+    return scanString(out);
+}
+
+bool
+JsonReader::scanString(std::string_view &out)
+{
+    const std::size_t begin = pos_ + 1;
+    std::size_t end = begin;
+    while (end < text_.size() && text_[end] != '"' && text_[end] != '\\')
+        ++end;
+    if (end < text_.size() && text_[end] == '"') {
+        out = text_.substr(begin, end - begin);
+        pos_ = end + 1;
+        return true;
+    }
+
+    // Escapes: decode into the scratch buffer.
+    scratch_.clear();
+    std::size_t p = begin;
+    while (p < text_.size()) {
+        char ch = text_[p];
+        if (ch == '"') {
+            pos_ = p + 1;
+            out = scratch_;
+            return true;
+        }
+        if (ch != '\\') {
+            scratch_ += ch;
+            ++p;
+            continue;
+        }
+        if (p + 1 >= text_.size())
+            return fail();
+        char esc = text_[p + 1];
+        p += 2;
+        switch (esc) {
+          case '"': scratch_ += '"'; break;
+          case '\\': scratch_ += '\\'; break;
+          case '/': scratch_ += '/'; break;
+          case 'n': scratch_ += '\n'; break;
+          case 't': scratch_ += '\t'; break;
+          case 'r': scratch_ += '\r'; break;
+          case 'b': scratch_ += '\b'; break;
+          case 'f': scratch_ += '\f'; break;
+          case 'u': {
+            if (p + 4 > text_.size())
+                return fail();
+            unsigned code = 0;
+            for (int i = 0; i < 4; ++i) {
+                int digit = hexDigit(text_[p + i]);
+                if (digit < 0)
+                    return fail();
+                code = code << 4 | static_cast<unsigned>(digit);
+            }
+            p += 4;
+            // The writer only emits \u for control chars; decode
+            // the Latin-1 subset and reject the rest.
+            if (code > 0xff)
+                return fail();
+            scratch_ += static_cast<char>(code);
+            break;
+          }
+          default:
+            return fail();
+        }
+    }
+    return fail(); // unterminated
+}
+
+bool
+JsonReader::readNumber(double &out)
+{
+    if (!startValue())
+        return false;
+    std::size_t p = pos_;
+    if (text_[p] == '-')
+        ++p;
+    // JSON numbers start with a digit after the optional minus;
+    // without this check strtod would also accept "+1", ".5" and
+    // the NaN/Infinity spellings.
+    if (p >= text_.size() || text_[p] < '0' || text_[p] > '9')
+        return fail();
+    while (p < text_.size() &&
+           ((text_[p] >= '0' && text_[p] <= '9') || text_[p] == '.' ||
+            text_[p] == 'e' || text_[p] == 'E' || text_[p] == '+' ||
+            text_[p] == '-'))
+        ++p;
+    // Overflowed literals ("1e999999") come back infinite; JSON has
+    // no way to round-trip them, so reject.
+    if (!strtodWhole(text_.substr(pos_, p - pos_), out) ||
+        !std::isfinite(out))
+        return fail();
+    pos_ = p;
+    return true;
+}
+
+bool
+JsonReader::literal(std::string_view word)
+{
+    if (!startValue() || text_.substr(pos_, word.size()) != word)
+        return fail();
+    pos_ += word.size();
+    return true;
+}
+
+bool
+JsonReader::readBool(bool &out)
+{
+    if (!startValue())
+        return false;
+    out = text_[pos_] == 't';
+    return literal(out ? "true" : "false");
+}
+
+bool
+JsonReader::readNull()
+{
+    return literal("null");
+}
+
+bool
+JsonReader::skipValue()
+{
+    switch (peek()) {
+      case Kind::Object: {
+        std::string_view key;
+        if (!beginObject())
+            return false;
+        while (nextKey(key)) {
+            if (!skipValue())
+                return false;
+        }
+        return !failed_;
+      }
+      case Kind::Array:
+        if (!beginArray())
+            return false;
+        while (nextElement()) {
+            if (!skipValue())
+                return false;
+        }
+        return !failed_;
+      case Kind::String: {
+        std::string_view text;
+        return readString(text);
+      }
+      case Kind::Bool: {
+        bool flag;
+        return readBool(flag);
+      }
+      case Kind::Null:
+        return readNull();
+      case Kind::Number: {
+        double number;
+        return readNumber(number);
+      }
+      case Kind::End:
+        break;
+    }
+    return fail();
+}
+
+bool
+JsonReader::atEnd()
+{
+    skipSpace();
+    return !failed_ && pos_ == text_.size();
+}
+
+// ---- JsonValue ----
 
 JsonValue &
 JsonValue::set(const std::string &key, JsonValue child)
@@ -76,121 +492,56 @@ JsonValue::push(JsonValue child)
 }
 
 void
-JsonValue::write(std::ostream &os, int indent) const
+JsonValue::writeTo(JsonWriter &writer) const
 {
     if (std::holds_alternative<std::nullptr_t>(value)) {
-        os << "null";
+        writer.null();
     } else if (auto *b = std::get_if<bool>(&value)) {
-        os << (*b ? "true" : "false");
+        writer.boolean(*b);
     } else if (auto *d = std::get_if<double>(&value)) {
-        if (!std::isfinite(*d)) {
-            os << "null"; // JSON has no Inf/NaN
-        } else if (*d == std::floor(*d) && std::abs(*d) < 1e15) {
-            os << static_cast<long long>(*d);
-        } else {
-            std::ostringstream tmp;
-            tmp << std::setprecision(12) << *d;
-            os << tmp.str();
-        }
+        writer.number(*d);
     } else if (auto *s = std::get_if<std::string>(&value)) {
-        writeEscaped(os, *s);
+        writer.string(*s);
     } else if (auto *object = std::get_if<Object>(&value)) {
-        if (object->empty()) {
-            os << "{}";
-            return;
-        }
-        os << "{\n";
-        bool first = true;
+        writer.beginObject();
         for (const auto &[key, child] : *object) {
-            if (!first)
-                os << ",\n";
-            first = false;
-            indentTo(os, indent + 1);
-            writeEscaped(os, key);
-            os << ": ";
-            child.write(os, indent + 1);
+            writer.key(key);
+            child.writeTo(writer);
         }
-        os << "\n";
-        indentTo(os, indent);
-        os << "}";
+        writer.endObject();
     } else if (auto *array = std::get_if<Array>(&value)) {
-        if (array->empty()) {
-            os << "[]";
-            return;
-        }
-        os << "[\n";
-        bool first = true;
-        for (const auto &child : *array) {
-            if (!first)
-                os << ",\n";
-            first = false;
-            indentTo(os, indent + 1);
-            child.write(os, indent + 1);
-        }
-        os << "\n";
-        indentTo(os, indent);
-        os << "]";
+        writer.beginArray();
+        for (const auto &child : *array)
+            child.writeTo(writer);
+        writer.endArray();
     }
+}
+
+void
+JsonValue::write(std::ostream &os, int indent) const
+{
+    std::string text;
+    JsonWriter writer(text, true, indent);
+    writeTo(writer);
+    os << text;
 }
 
 std::string
 JsonValue::dump() const
 {
-    std::ostringstream os;
-    write(os);
-    return os.str();
-}
-
-void
-JsonValue::writeCompact(std::ostream &os) const
-{
-    if (std::holds_alternative<std::nullptr_t>(value)) {
-        os << "null";
-    } else if (auto *b = std::get_if<bool>(&value)) {
-        os << (*b ? "true" : "false");
-    } else if (auto *d = std::get_if<double>(&value)) {
-        if (!std::isfinite(*d)) {
-            os << "null"; // JSON has no Inf/NaN
-        } else if (*d == std::floor(*d) && std::abs(*d) < 1e15) {
-            os << static_cast<long long>(*d);
-        } else {
-            std::ostringstream tmp;
-            tmp << std::setprecision(12) << *d;
-            os << tmp.str();
-        }
-    } else if (auto *s = std::get_if<std::string>(&value)) {
-        writeEscaped(os, *s);
-    } else if (auto *object = std::get_if<Object>(&value)) {
-        os << '{';
-        bool first = true;
-        for (const auto &[key, child] : *object) {
-            if (!first)
-                os << ',';
-            first = false;
-            writeEscaped(os, key);
-            os << ':';
-            child.writeCompact(os);
-        }
-        os << '}';
-    } else if (auto *array = std::get_if<Array>(&value)) {
-        os << '[';
-        bool first = true;
-        for (const auto &child : *array) {
-            if (!first)
-                os << ',';
-            first = false;
-            child.writeCompact(os);
-        }
-        os << ']';
-    }
+    std::string text;
+    JsonWriter writer(text, true);
+    writeTo(writer);
+    return text;
 }
 
 std::string
 JsonValue::dumpCompact() const
 {
-    std::ostringstream os;
-    writeCompact(os);
-    return os.str();
+    std::string text;
+    JsonWriter writer(text);
+    writeTo(writer);
+    return text;
 }
 
 bool
@@ -267,248 +618,136 @@ JsonValue::asNumber() const
 namespace
 {
 
-/** Strict recursive-descent JSON parser over a string. */
-class Parser
+/** One value of @p reader as a tree; nullopt on a syntax error. */
+std::optional<JsonValue>
+readTree(JsonReader &reader)
 {
-  public:
-    explicit Parser(const std::string &text) : text(text) {}
-
-    std::optional<JsonValue>
-    document()
-    {
-        auto value = parseValue();
-        if (!value)
-            return std::nullopt;
-        skipSpace();
-        if (pos != text.size())
-            return std::nullopt; // trailing garbage
-        return value;
-    }
-
-  private:
-    static constexpr int maxDepth = 64;
-
-    void
-    skipSpace()
-    {
-        while (pos < text.size() &&
-               (text[pos] == ' ' || text[pos] == '\t' ||
-                text[pos] == '\n' || text[pos] == '\r'))
-            ++pos;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t len = std::string::traits_type::length(word);
-        if (text.compare(pos, len, word) != 0)
-            return false;
-        pos += len;
-        return true;
-    }
-
-    std::optional<JsonValue>
-    parseValue()
-    {
-        if (++depth > maxDepth)
-            return std::nullopt;
-        skipSpace();
-        std::optional<JsonValue> result;
-        if (pos >= text.size()) {
-            result = std::nullopt;
-        } else if (text[pos] == '{') {
-            result = parseObject();
-        } else if (text[pos] == '[') {
-            result = parseArray();
-        } else if (text[pos] == '"') {
-            auto s = parseString();
-            if (s)
-                result = JsonValue(std::move(*s));
-        } else if (literal("null")) {
-            result = JsonValue(nullptr);
-        } else if (literal("true")) {
-            result = JsonValue(true);
-        } else if (literal("false")) {
-            result = JsonValue(false);
-        } else {
-            result = parseNumber();
-        }
-        --depth;
-        return result;
-    }
-
-    std::optional<JsonValue>
-    parseObject()
-    {
-        ++pos; // '{'
+    switch (reader.peek()) {
+      case JsonReader::Kind::Object: {
         JsonValue object = JsonValue::object();
-        skipSpace();
-        if (pos < text.size() && text[pos] == '}') {
-            ++pos;
-            return object;
-        }
-        while (true) {
-            skipSpace();
-            if (pos >= text.size() || text[pos] != '"')
-                return std::nullopt;
-            auto key = parseString();
-            if (!key)
-                return std::nullopt;
-            skipSpace();
-            if (pos >= text.size() || text[pos] != ':')
-                return std::nullopt;
-            ++pos;
-            auto child = parseValue();
+        std::string_view key;
+        if (!reader.beginObject())
+            return std::nullopt;
+        while (reader.nextKey(key)) {
+            std::string name(key); // the child's strings reuse `key`
+            std::optional<JsonValue> child = readTree(reader);
             if (!child)
                 return std::nullopt;
-            object.set(*key, std::move(*child));
-            skipSpace();
-            if (pos >= text.size())
-                return std::nullopt;
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == '}') {
-                ++pos;
-                return object;
-            }
+            object.set(name, std::move(*child));
+        }
+        if (reader.failed())
             return std::nullopt;
-        }
-    }
-
-    std::optional<JsonValue>
-    parseArray()
-    {
-        ++pos; // '['
+        return object;
+      }
+      case JsonReader::Kind::Array: {
         JsonValue array = JsonValue::array();
-        skipSpace();
-        if (pos < text.size() && text[pos] == ']') {
-            ++pos;
-            return array;
-        }
-        while (true) {
-            auto child = parseValue();
+        if (!reader.beginArray())
+            return std::nullopt;
+        while (reader.nextElement()) {
+            std::optional<JsonValue> child = readTree(reader);
             if (!child)
                 return std::nullopt;
             array.push(std::move(*child));
-            skipSpace();
-            if (pos >= text.size())
-                return std::nullopt;
-            if (text[pos] == ',') {
-                ++pos;
-                continue;
-            }
-            if (text[pos] == ']') {
-                ++pos;
-                return array;
-            }
-            return std::nullopt;
         }
+        if (reader.failed())
+            return std::nullopt;
+        return array;
+      }
+      case JsonReader::Kind::String: {
+        std::string_view text;
+        if (!reader.readString(text))
+            return std::nullopt;
+        return JsonValue(std::string(text));
+      }
+      case JsonReader::Kind::Bool: {
+        bool flag = false;
+        if (!reader.readBool(flag))
+            return std::nullopt;
+        return JsonValue(flag);
+      }
+      case JsonReader::Kind::Null:
+        if (!reader.readNull())
+            return std::nullopt;
+        return JsonValue(nullptr);
+      case JsonReader::Kind::Number: {
+        double number = 0.0;
+        if (!reader.readNumber(number))
+            return std::nullopt;
+        return JsonValue(number);
+      }
+      case JsonReader::Kind::End:
+        break;
     }
+    return std::nullopt;
+}
 
-    std::optional<std::string>
-    parseString()
-    {
-        ++pos; // '"'
-        std::string out;
-        while (pos < text.size()) {
-            char ch = text[pos];
-            if (ch == '"') {
-                ++pos;
-                return out;
-            }
-            if (ch == '\\') {
-                if (pos + 1 >= text.size())
-                    return std::nullopt;
-                char esc = text[pos + 1];
-                pos += 2;
-                switch (esc) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u': {
-                    if (pos + 4 > text.size())
-                        return std::nullopt;
-                    unsigned code = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        char h = text[pos + i];
-                        code <<= 4;
-                        if (h >= '0' && h <= '9')
-                            code |= h - '0';
-                        else if (h >= 'a' && h <= 'f')
-                            code |= h - 'a' + 10;
-                        else if (h >= 'A' && h <= 'F')
-                            code |= h - 'A' + 10;
-                        else
-                            return std::nullopt;
-                    }
-                    pos += 4;
-                    // The writer only emits \u for control chars;
-                    // decode the Latin-1 subset and reject the rest.
-                    if (code > 0xff)
-                        return std::nullopt;
-                    out += static_cast<char>(code);
-                    break;
-                  }
-                  default:
-                    return std::nullopt;
-                }
-                continue;
-            }
-            out += ch;
-            ++pos;
+/**
+ * The exact value of a hexfloat in the form "%a" prints —
+ * [-]0x1.<up to 13 hex digits>p<signed exponent> for normal numbers,
+ * [-]0x0.<digits>p-1022 for subnormals, [-]0x0p+0 for zero — without
+ * strtod's general parse. False for any other spelling.
+ */
+bool
+canonicalHexDouble(std::string_view text, double &out)
+{
+    std::size_t i = 0;
+    const bool negative = !text.empty() && text[0] == '-';
+    i += negative;
+    if (text.size() < i + 6 || text[i] != '0' || text[i + 1] != 'x' ||
+        (text[i + 2] != '0' && text[i + 2] != '1'))
+        return false;
+    const bool normal = text[i + 2] == '1';
+    i += 3;
+    std::uint64_t fraction = 0;
+    int digits = 0;
+    if (text[i] == '.') {
+        for (++i; i < text.size() && digits < 13; ++i, ++digits) {
+            const int digit = hexDigit(text[i]);
+            if (digit < 0)
+                break;
+            fraction = fraction << 4 | static_cast<unsigned>(digit);
         }
-        return std::nullopt; // unterminated
+        if (digits == 0)
+            return false;
     }
-
-    std::optional<JsonValue>
-    parseNumber()
-    {
-        std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        // JSON numbers start with a digit after the optional minus;
-        // without this check strtod would also accept "+1", ".5" and
-        // the NaN/Infinity spellings.
-        if (pos >= text.size() || text[pos] < '0' || text[pos] > '9') {
-            pos = start;
-            return std::nullopt;
-        }
-        while (pos < text.size() &&
-               ((text[pos] >= '0' && text[pos] <= '9') ||
-                text[pos] == '.' || text[pos] == 'e' ||
-                text[pos] == 'E' || text[pos] == '+' ||
-                text[pos] == '-'))
-            ++pos;
-        std::string token = text.substr(start, pos - start);
-        char *end = nullptr;
-        double parsed = std::strtod(token.c_str(), &end);
-        if (end != token.c_str() + token.size())
-            return std::nullopt;
-        // Overflowed literals ("1e999999") come back infinite;
-        // JSON has no way to round-trip them, so reject.
-        if (!std::isfinite(parsed))
-            return std::nullopt;
-        return JsonValue(parsed);
+    if (i + 2 >= text.size() || text[i] != 'p' ||
+        (text[i + 1] != '+' && text[i + 1] != '-'))
+        return false;
+    const bool negativeExponent = text[i + 1] == '-';
+    int exponent = 0;
+    auto [end, ec] = std::from_chars(text.data() + i + 2,
+                                     text.data() + text.size(), exponent);
+    if (ec != std::errc() || end != text.data() + text.size() ||
+        text[i + 2] == '-' || exponent > 1023)
+        return false;
+    if (negativeExponent)
+        exponent = -exponent;
+    fraction <<= 4 * (13 - digits);
+    std::uint64_t bits;
+    if (normal) {
+        if (exponent < -1022)
+            return false;
+        bits = static_cast<std::uint64_t>(exponent + 1023) << 52 |
+               fraction;
+    } else {
+        if (exponent != (fraction == 0 ? 0 : -1022))
+            return false;
+        bits = fraction;
     }
-
-    const std::string &text;
-    std::size_t pos = 0;
-    int depth = 0;
-};
+    out = std::bit_cast<double>(bits | std::uint64_t{negative} << 63);
+    return true;
+}
 
 } // namespace
 
 std::optional<JsonValue>
-parseJson(const std::string &text)
+parseJson(std::string_view text)
 {
-    return Parser(text).document();
+    JsonReader reader(text);
+    std::optional<JsonValue> value = readTree(reader);
+    if (!value || !reader.atEnd())
+        return std::nullopt; // malformed, or trailing garbage
+    return value;
 }
 
 std::string
@@ -520,14 +759,9 @@ encodeHexDouble(double value)
 }
 
 bool
-decodeHexDouble(const JsonValue *value, double &out)
+decodeHexDouble(std::string_view text, double &out)
 {
-    if (value == nullptr || !value->isString())
-        return false;
-    const std::string &text = value->asString();
-    char *end = nullptr;
-    out = std::strtod(text.c_str(), &end);
-    return !text.empty() && end == text.c_str() + text.size();
+    return canonicalHexDouble(text, out) || strtodWhole(text, out);
 }
 
 } // namespace mmgpu

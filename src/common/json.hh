@@ -1,30 +1,175 @@
 /**
  * @file
- * Minimal JSON emission and parsing.
+ * JSON: one pull reader, one writer, and a small value tree on top.
  *
- * Benches and the harness export machine-readable reports so results
- * can be post-processed without scraping text tables: the surface is
- * a small value-builder with correct escaping and deterministic key
- * order. The persistent run cache additionally needs to read its own
- * output back, so a strict recursive-descent parser and read
- * accessors round the API out. The parser accepts exactly what
- * write() emits (standard JSON); it is not a general validator for
- * hostile input beyond failing cleanly.
+ * JsonWriter appends text to a std::string, either compact (one line,
+ * the service socket protocol's framing) or in the 2-space indented
+ * layout reports and the run-cache snapshot use. JsonReader walks a
+ * document in place, one token at a time, handing out strings as
+ * views into the text. Between them they are the only JSON
+ * formatting and parsing code in the tree:
+ *  - JsonValue (an immutable tree with deterministic, byte-sorted
+ *    key order) serializes through the writer, and parseJson()
+ *    builds one from the reader — the shape benches, telemetry and
+ *    the serve protocol want;
+ *  - the field codec (common/fields.hh) and the persistent run cache
+ *    go straight between text and struct fields, with no tree.
+ *
+ * The reader accepts what the writer emits (standard JSON); it is
+ * not a general validator for hostile input beyond failing cleanly:
+ * a truncated run-cache file or a garbled request degrades to a miss
+ * or a parse error, never a crash.
  */
 
 #ifndef MMGPU_COMMON_JSON_HH
 #define MMGPU_COMMON_JSON_HH
 
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 namespace mmgpu
 {
+
+/**
+ * Streaming JSON writer appending to a caller-owned string.
+ *
+ * Calls mirror the document: beginObject(), then key() + one value
+ * per member, endObject(); arrays likewise without keys. Keys are
+ * written in the order given — callers that want the byte-sorted
+ * order JsonValue keeps must supply it. Doubles print as integers
+ * when integral and below 1e15, as null when not finite, and
+ * otherwise in the shortest form that reads back to the same double.
+ */
+class JsonWriter
+{
+  public:
+    /**
+     * @param out    text is appended here
+     * @param pretty 2-space indented layout (false: compact, no
+     *               whitespace at all)
+     * @param indent starting indentation level of a pretty document
+     */
+    explicit JsonWriter(std::string &out, bool pretty = false,
+                        int indent = 0)
+        : out_(out), pretty_(pretty), indent_(indent)
+    {
+    }
+
+    void beginObject() { open('{'); }
+    void endObject() { close('}'); }
+    void beginArray() { open('['); }
+    void endArray() { close(']'); }
+
+    /** The next object member's key; its value follows. */
+    void key(std::string_view name);
+
+    void string(std::string_view text);
+    void number(double value);
+    void boolean(bool value);
+    void null();
+
+  private:
+    void open(char bracket);
+    void close(char bracket);
+    /** Separator and indentation before a member or element. */
+    void item();
+    void newline(std::size_t level);
+    void escaped(std::string_view text);
+
+    std::string &out_;
+    bool pretty_;
+    int indent_;
+    bool afterKey_ = false;
+    /** One byte per open container: nonzero once it holds an item. */
+    std::string filled_;
+};
+
+/**
+ * Pull reader over one JSON document held in memory.
+ *
+ * peek() names the next value's kind; the read*() calls consume one
+ * value of that kind, and skipValue() consumes any value. Containers
+ * are walked with beginObject() + nextKey() or beginArray() +
+ * nextElement(), each of which returns false at the closing bracket;
+ * after every true return the caller must consume exactly one value.
+ *
+ * A syntax error (or nesting deeper than 64 values) makes the reader
+ * failed(): every later call returns false, so callers may check
+ * failed() once at the end. A read of the wrong kind is a syntax
+ * error too — decoders that meet an unexpected kind skipValue()
+ * instead. Strings come back as views into the text, or into a
+ * scratch buffer when they hold escapes; either is valid until the
+ * next read.
+ */
+class JsonReader
+{
+  public:
+    enum class Kind { Null, Bool, Number, String, Object, Array, End };
+
+    explicit JsonReader(std::string_view text) : text_(text) {}
+
+    /** Kind of the next value (End at end of input or after an
+     *  error). Skips whitespace; consumes nothing else. */
+    Kind peek();
+
+    bool beginObject();
+    /** Read the next member's key; false at '}' or on error. */
+    bool nextKey(std::string_view &key);
+
+    bool beginArray();
+    /** True when another element follows; false at ']' or on
+     *  error. */
+    bool nextElement();
+
+    bool readString(std::string_view &out);
+    bool readNumber(double &out);
+    bool readBool(bool &out);
+    bool readNull();
+
+    /** Consume one value of any kind, checking its syntax. */
+    bool skipValue();
+
+    /** True when only whitespace remains and nothing failed. */
+    bool atEnd();
+
+    bool failed() const { return failed_; }
+
+  private:
+    bool fail()
+    {
+        failed_ = true;
+        return false;
+    }
+    void
+    skipSpace()
+    {
+        while (pos_ < text_.size() &&
+               (text_[pos_] == ' ' || text_[pos_] == '\n' ||
+                text_[pos_] == '\t' || text_[pos_] == '\r'))
+            ++pos_;
+    }
+    /** Position on the first byte of a value, within the depth cap. */
+    bool startValue();
+    bool literal(std::string_view word);
+    /** Read the string at pos_ (on its opening quote). */
+    bool scanString(std::string_view &out);
+    void open();
+    void close();
+
+    std::string_view text_;
+    std::size_t pos_ = 0;
+    int depth_ = 0;
+    /** Bit d set while the container at depth d+1 has no item yet. */
+    std::uint64_t fresh_ = 0;
+    bool failed_ = false;
+    std::string scratch_;
+};
 
 /** An immutable JSON value tree. */
 class JsonValue
@@ -80,12 +225,9 @@ class JsonValue
      * matter how nested. The service socket protocol frames one JSON
      * document per line, so embedded newlines would tear a message.
      */
-    void writeCompact(std::ostream &os) const;
-
-    /** Compact serialization to a string (newline-free). */
     std::string dumpCompact() const;
 
-    // ---- read accessors (used by the persistent run cache) ----
+    // ---- read accessors ----
 
     bool isNull() const;
     bool isObject() const;
@@ -112,6 +254,8 @@ class JsonValue
     double asNumber() const;
 
   private:
+    void writeTo(JsonWriter &writer) const;
+
     using Object = std::map<std::string, JsonValue>;
     using Array = std::vector<JsonValue>;
     std::variant<std::nullptr_t, bool, double, std::string, Object,
@@ -121,11 +265,11 @@ class JsonValue
 
 /**
  * Parse @p text as one JSON document.
- * @return the value, or std::nullopt on any syntax error (the run
- *         cache treats malformed files as a cache miss, never a
+ * @return the value, or std::nullopt on any syntax error (callers
+ *         treat malformed input as a miss or a parse error, never a
  *         crash).
  */
-std::optional<JsonValue> parseJson(const std::string &text);
+std::optional<JsonValue> parseJson(std::string_view text);
 
 /**
  * Encode @p value as a C99 hexfloat string ("%a"): bit-exact through
@@ -134,8 +278,9 @@ std::optional<JsonValue> parseJson(const std::string &text);
  */
 std::string encodeHexDouble(double value);
 
-/** Decode a hexfloat string; false on malformed or non-string input. */
-bool decodeHexDouble(const JsonValue *value, double &out);
+/** Decode a hexfloat (or any text strtod consumes whole); false on
+ *  empty or malformed text. */
+bool decodeHexDouble(std::string_view text, double &out);
 
 } // namespace mmgpu
 

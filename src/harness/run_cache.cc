@@ -3,12 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 
 #include "common/fields.hh"
 #include "common/hash.hh"
@@ -31,13 +33,32 @@ keyName(std::uint64_t key)
 }
 
 bool
-parseKeyName(const std::string &name, std::uint64_t &key)
+parseKeyName(std::string_view name, std::uint64_t &key)
 {
     if (name.size() != 16)
         return false;
+    char text[17];
+    std::memcpy(text, name.data(), 16);
+    text[16] = '\0';
     char *end = nullptr;
-    key = std::strtoull(name.c_str(), &end, 16);
-    return end == name.c_str() + name.size();
+    key = std::strtoull(text, &end, 16);
+    return end == text + 16;
+}
+
+/** The whole of @p path into @p text; false when it cannot be
+ *  opened. */
+bool
+readFile(const std::string &path, std::string &text)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in.is_open())
+        return false;
+    text.resize(static_cast<std::size_t>(
+        std::max<std::streamoff>(in.tellg(), 0)));
+    in.seekg(0);
+    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+    text.resize(static_cast<std::size_t>(in.gcount()));
+    return true;
 }
 
 /** fsync the journal every this many appends; in between, write()
@@ -161,42 +182,68 @@ RunCache::autoFlushSecondsFromEnv()
 void
 RunCache::loadLocked()
 {
-    std::ifstream in(path_, std::ios::binary);
-    if (!in.is_open())
+    std::string text;
+    if (!readFile(path_, text))
         return; // cold cache
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
 
-    std::optional<JsonValue> doc = parseJson(text);
-    if (!doc || !doc->isObject()) {
+    // Entries decode straight into entries_ while the document is
+    // read, and are dropped again unless all of it is valid. The
+    // verdicts are those of a whole-document parse: the last
+    // duplicate member wins, and "schema" — which sorts after
+    // "entries" — must still name this version.
+    using Kind = JsonReader::Kind;
+    JsonReader reader(text);
+    bool current = false; // "schema" is runCacheSchemaVersion
+    bool table = false;   // "entries" is an array
+    std::size_t bad = 0;
+    Entry decoded;
+    Record<Entry> record{std::string(), decoded};
+    std::string_view name;
+    const bool object =
+        reader.peek() == Kind::Object && reader.beginObject();
+    while (object && reader.nextKey(name)) {
+        if (name == "schema") {
+            double version = -1.0;
+            if (reader.peek() == Kind::Number)
+                reader.readNumber(version);
+            else
+                reader.skipValue();
+            current =
+                version == static_cast<double>(runCacheSchemaVersion);
+        } else if (name == "entries") {
+            entries_.clear();
+            bad = 0;
+            table = reader.peek() == Kind::Array;
+            if (!table) {
+                reader.skipValue();
+                continue;
+            }
+            reader.beginArray();
+            while (reader.nextElement()) {
+                std::uint64_t key = 0;
+                if (fieldsFromJson(reader, record) &&
+                    parseKeyName(record.key, key))
+                    entries_.try_emplace(key, std::move(decoded));
+                else
+                    ++bad;
+            }
+        } else {
+            reader.skipValue();
+        }
+    }
+    if (!object || !reader.atEnd()) {
+        entries_.clear();
         warn("run cache ", path_, " is corrupt; ignoring it");
         return;
     }
-    const JsonValue *schema = doc->find("schema");
-    if (schema == nullptr || !schema->isNumber() ||
-        schema->asNumber() !=
-            static_cast<double>(runCacheSchemaVersion))
+    if (!current) {
+        entries_.clear();
         return; // stale schema: silently recompute
-    const JsonValue *entries = doc->find("entries");
-    if (entries == nullptr || !entries->isArray()) {
+    }
+    if (!table) {
+        entries_.clear();
         warn("run cache ", path_, " has no entry table; ignoring it");
         return;
-    }
-    std::size_t bad = 0;
-    for (std::size_t i = 0; i < entries->size(); ++i) {
-        const JsonValue *record = entries->at(i);
-        const JsonValue *name =
-            record ? record->find("key") : nullptr;
-        std::uint64_t key = 0;
-        Entry decoded;
-        if (name == nullptr || !name->isString() ||
-            !parseKeyName(name->asString(), key) ||
-            !fieldsFromJson(record, decoded)) {
-            ++bad;
-            continue;
-        }
-        entries_.emplace(key, std::move(decoded));
     }
     if (bad > 0)
         warn("run cache ", path_, ": skipped ", bad,
@@ -260,16 +307,18 @@ RunCache::appendWalLocked(std::uint64_t key, const Entry &entry)
     if (walFd_ < 0)
         return;
 
-    JsonValue record = fieldsToJson(entry);
-    record.set("key", keyName(key));
-    std::string payload = record.dumpCompact();
+    // "\nR <16-hex FNV-1a of payload> <compact JSON payload>". The
+    // leading newline terminates any torn tail a previous crash (or
+    // injected tear) left behind, confining the damage to that one
+    // record.
+    constexpr std::size_t payloadAt = 20;
+    std::string line = "\nR 0000000000000000 ";
+    JsonWriter writer(line);
+    fieldsToJson(writer, Record<const Entry>{keyName(key), entry});
     Fnv1a sum;
-    sum.add(payload);
-
-    // Leading-newline framing: this append terminates any torn tail
-    // a previous crash (or injected tear) left behind, confining the
-    // damage to that one record.
-    std::string line = "\nR " + keyName(sum.digest()) + " " + payload;
+    sum.add(std::string_view(line).substr(payloadAt));
+    const std::string digest = keyName(sum.digest());
+    line.replace(3, digest.size(), digest);
     ++walAppends_;
     if (walTearAt_ != 0 && walAppends_ == walTearAt_) {
         line.resize(line.size() / 2); // injected torn write
@@ -301,47 +350,37 @@ RunCache::replayWalLocked()
 {
     if (!walEnabled_)
         return;
-    std::ifstream in(walPath_, std::ios::binary);
-    if (!in.is_open())
+    std::string text;
+    if (!readFile(walPath_, text))
         return; // no journal: clean shutdown or cold cache
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string text = buffer.str();
 
     std::size_t dropped = 0;
-    std::size_t pos = 0;
-    while (pos < text.size()) {
-        std::size_t end = text.find('\n', pos);
-        if (end == std::string::npos)
-            end = text.size();
-        std::string record = text.substr(pos, end - pos);
-        pos = end + 1;
-        if (record.empty())
+    Entry decoded;
+    Record<Entry> record{std::string(), decoded};
+    std::string_view rest(text);
+    while (!rest.empty()) {
+        const std::size_t end = std::min(rest.find('\n'), rest.size());
+        const std::string_view line = rest.substr(0, end);
+        rest.remove_prefix(std::min(end + 1, rest.size()));
+        if (line.empty())
             continue;
 
         // "R <16-hex FNV-1a of payload> <compact JSON payload>"
         bool ok = false;
         std::uint64_t sum = 0;
-        if (record.size() > 20 && record[0] == 'R' &&
-            record[1] == ' ' && record[18] == ' ' &&
-            parseKeyName(record.substr(2, 16), sum)) {
-            std::string payload = record.substr(19);
+        if (line.size() > 20 && line[0] == 'R' && line[1] == ' ' &&
+            line[18] == ' ' && parseKeyName(line.substr(2, 16), sum)) {
+            const std::string_view payload = line.substr(19);
             Fnv1a check;
             check.add(payload);
-            if (check.digest() == sum) {
-                std::optional<JsonValue> doc = parseJson(payload);
-                const JsonValue *name =
-                    doc && doc->isObject() ? doc->find("key")
-                                           : nullptr;
-                std::uint64_t key = 0;
-                Entry decoded;
-                if (name != nullptr && name->isString() &&
-                    parseKeyName(name->asString(), key) &&
-                    fieldsFromJson(&*doc, decoded)) {
-                    entries_[key] = std::move(decoded); // WAL wins
-                    ++walReplayed_;
-                    ok = true;
-                }
+            JsonReader reader(payload);
+            std::uint64_t key = 0;
+            if (check.digest() == sum &&
+                fieldsFromJson(reader, record) && reader.atEnd() &&
+                parseKeyName(record.key, key)) {
+                entries_[key] = std::move(decoded); // WAL wins
+                ++walReplayed_;
+                ok = true;
             }
         }
         if (!ok)
@@ -390,16 +429,20 @@ RunCache::flush()
             entries_.emplace(key, std::move(entry));
     }
 
-    JsonValue doc = JsonValue::object();
-    doc.set("schema",
-            static_cast<unsigned long long>(runCacheSchemaVersion));
-    JsonValue entries = JsonValue::array();
-    for (const auto &[key, entry] : entries_) {
-        JsonValue record = fieldsToJson(entry);
-        record.set("key", keyName(key));
-        entries.push(std::move(record));
-    }
-    doc.set("entries", std::move(entries));
+    // {"entries": [records in key order], "schema": N}: members in
+    // byte order, like every object the codec writes.
+    std::string text;
+    JsonWriter writer(text, true);
+    writer.beginObject();
+    writer.key("entries");
+    writer.beginArray();
+    for (const auto &[key, entry] : entries_)
+        fieldsToJson(writer, Record<const Entry>{keyName(key), entry});
+    writer.endArray();
+    writer.key("schema");
+    writer.number(static_cast<double>(runCacheSchemaVersion));
+    writer.endObject();
+    text += '\n';
 
     namespace fs = std::filesystem;
     std::error_code ec;
@@ -424,8 +467,8 @@ RunCache::flush()
             std::ofstream out(tmp,
                               std::ios::binary | std::ios::trunc);
             if (out.is_open()) {
-                doc.write(out);
-                out << "\n";
+                out.write(text.data(),
+                          static_cast<std::streamsize>(text.size()));
                 wrote = out.good();
             }
         }

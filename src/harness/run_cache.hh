@@ -23,7 +23,13 @@
  * over the PerfResult and EnergyBreakdown field lists stores doubles
  * as C99 hexfloat strings ("%a") and event counts as decimal
  * strings, so a cache round-trip reproduces every field of the
- * freshly computed result — the determinism tests assert this.
+ * freshly computed result — the determinism tests assert this. The
+ * codec streams: open reads each file into one string and decodes
+ * records straight from it into entries (journal lines as views, no
+ * copies), and flush and journal appends write records straight into
+ * one output string — no JSON tree is built for any record. The
+ * bytes are those the tree-based codec wrote (tests pin them), so
+ * files move freely between versions with the same schema.
  *
  * Escape hatches: `MMGPU_NO_CACHE=1` disables the process-wide cache
  * entirely; `MMGPU_CACHE_DIR=<dir>` relocates it (used by the test
@@ -207,6 +213,27 @@ class RunCache
             auto &[perf, energy] = self;
             visit("perf", perf);
             visit("energy", energy);
+        }
+    };
+
+    /**
+     * One snapshot or journal record: the entry's fields, flat, plus
+     * its key as 16 hex digits (keyName()). @p E is Entry for
+     * decoding and const Entry for encoding.
+     */
+    template <typename E>
+    struct Record
+    {
+        std::string key;
+        E &entry;
+
+        template <FieldsOf<Record> S, typename Visit>
+        friend constexpr void
+        forEachField(S &self, Visit &&visit)
+        {
+            auto &[key, entry] = self;
+            visit("key", key);
+            forEachField(entry, visit);
         }
     };
 

@@ -1,5 +1,8 @@
 #include "serve/request.hh"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/fields.hh"
 #include "common/hash.hh"
 #include "noc/topology_registry.hh"
@@ -70,6 +73,20 @@ readNumber(const JsonValue &doc, const char *key, double &out)
                                "' must be a number");
     out = value->asNumber();
     return Result<void>::success();
+}
+
+/**
+ * @p value rounded to 12 significant digits. The display-only ratios
+ * of a run answer (ipc, remote fraction) have always been sent at
+ * that precision, and served bodies are compared byte for byte; the
+ * exact results travel as hexfloats beside them.
+ */
+double
+displayRatio(double value)
+{
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.12g", value);
+    return std::strtod(text, nullptr);
 }
 
 } // namespace
@@ -433,8 +450,8 @@ encodeOutcome(const harness::RunOutcome &outcome)
     doc.set("workload", perf.workloadName);
     doc.set("exec-seconds", encodeHexDouble(perf.execSeconds));
     doc.set("exec-cycles", encodeHexDouble(perf.execCycles));
-    doc.set("ipc", perf.ipc());
-    doc.set("remote-fraction", perf.remoteFraction());
+    doc.set("ipc", displayRatio(perf.ipc()));
+    doc.set("remote-fraction", displayRatio(perf.remoteFraction()));
     JsonValue e = JsonValue::object();
     e.set("sm-busy", encodeHexDouble(energy.smBusy));
     e.set("sm-idle", encodeHexDouble(energy.smIdle));

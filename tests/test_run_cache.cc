@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <sstream>
+#include <string_view>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/hash.hh"
 #include "common/wallclock.hh"
 
 #include "harness/run_cache.hh"
@@ -92,6 +98,51 @@ fussyEnergy()
     energy.dramToL2 = 6.02214076e23;
     energy.interModule = 1.6021766e-19;
     return energy;
+}
+
+/** fussyPerf() with negative doubles, one of them subnormal. */
+sim::PerfResult
+signedPerf()
+{
+    sim::PerfResult perf = fussyPerf();
+    perf.smStallCycles = -2.0 / 7.0;
+    perf.linkQueueing = -0x1.8p-1070; // negative subnormal
+    perf.execSeconds = -0.0;
+    return perf;
+}
+
+/** fussyEnergy() with negative doubles. */
+joule::EnergyBreakdown
+signedEnergy()
+{
+    joule::EnergyBreakdown energy = fussyEnergy();
+    energy.constant = -123.456e-5;
+    energy.interModule = -1.6021766e-19;
+    return energy;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    fs::create_directories(fs::path(path).parent_path());
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+}
+
+std::uint64_t
+digestOf(std::string_view bytes)
+{
+    Fnv1a hash;
+    hash.addBytes(bytes.data(), bytes.size());
+    return hash.digest();
 }
 
 TEST(RunCache, RoundTripIsBitExact)
@@ -372,6 +423,7 @@ TEST(RunCache, AutoFlushPersistsEntriesInTheBackground)
     fs::remove_all("run_cache_scratch/autoflush");
 }
 
+
 TEST(RunCache, AutoFlushEnvKnobParsesDefensively)
 {
     unsetenv("MMGPU_CACHE_FLUSH_SEC");
@@ -387,6 +439,395 @@ TEST(RunCache, AutoFlushEnvKnobParsesDefensively)
     setenv("MMGPU_CACHE_FLUSH_SEC", "2.5", 1);
     EXPECT_EQ(RunCache::autoFlushSecondsFromEnv(), 2.5);
     unsetenv("MMGPU_CACHE_FLUSH_SEC");
+}
+
+// ---------------------------------------------------------------- //
+// The on-disk format, pinned: the bytes a journal append and a      //
+// flush write, and what loading does with each kind of damage. The  //
+// digests and verdicts were taken from the tree-based codec the     //
+// streaming one replaced.                                           //
+// ---------------------------------------------------------------- //
+
+constexpr std::uint64_t keyA = 0x0123456789abcdefull;
+constexpr std::uint64_t keyB = 0xfedcba9876543210ull;
+
+TEST(RunCacheFormat, SnapshotAndJournalBytesArePinned)
+{
+    std::string path = scratchPath("pinned");
+    RunCache cache(path);
+    cache.insert(keyA, signedPerf(), signedEnergy());
+    const std::string wal = readFile(cache.walPath());
+    EXPECT_EQ(wal.size(), 1608u);
+    EXPECT_EQ(digestOf(wal), 0x6af94e1fa42b1062ull) << wal;
+
+    cache.insert(keyB, fussyPerf(), fussyEnergy());
+    ASSERT_TRUE(cache.flush());
+    const std::string snapshot = readFile(path);
+    EXPECT_EQ(snapshot.size(), 4881u);
+    EXPECT_EQ(digestOf(snapshot), 0x0d867f85643c7d93ull) << snapshot;
+
+    // Those bytes load back to field-equal entries.
+    RunCache reloaded(path);
+    ASSERT_EQ(reloaded.size(), 2u);
+    sim::PerfResult perf;
+    joule::EnergyBreakdown energy;
+    ASSERT_TRUE(reloaded.lookup(keyA, perf, energy));
+    EXPECT_TRUE(perf == signedPerf());
+    EXPECT_TRUE(energy == signedEnergy());
+    EXPECT_TRUE(std::signbit(perf.execSeconds));
+    ASSERT_TRUE(reloaded.lookup(keyB, perf, energy));
+    EXPECT_TRUE(perf == fussyPerf());
+    EXPECT_TRUE(energy == fussyEnergy());
+
+    fs::remove_all("run_cache_scratch/pinned");
+}
+
+/** A cache opened over hand-made files, and what it warned. */
+struct Opened
+{
+    std::unique_ptr<RunCache> cache;
+    std::string warnings;
+
+    bool
+    holds(std::uint64_t key, const sim::PerfResult &perf,
+          const joule::EnergyBreakdown &energy) const
+    {
+        sim::PerfResult got_perf;
+        joule::EnergyBreakdown got_energy;
+        return cache->lookup(key, got_perf, got_energy) &&
+               got_perf == perf && got_energy == energy;
+    }
+};
+
+/** Open a cache at @p path over exactly @p snapshot and @p journal
+ *  (an empty text leaves that file absent). */
+Opened
+openOver(const std::string &path, const std::string &snapshot,
+         const std::string &journal)
+{
+    const std::string wal =
+        fs::path(path).replace_extension(".wal").string();
+    fs::remove(path);
+    fs::remove(wal);
+    if (!snapshot.empty())
+        writeFile(path, snapshot);
+    if (!journal.empty())
+        writeFile(wal, journal);
+    Opened opened;
+    testing::internal::CaptureStderr();
+    opened.cache = std::make_unique<RunCache>(path);
+    opened.warnings = testing::internal::GetCapturedStderr();
+    return opened;
+}
+
+/** Files written for keyA (signedPerf) and keyB (fussyPerf). */
+struct Corpus
+{
+    std::string path;     //!< scratch path for openOver()
+    std::string single;   //!< snapshot holding keyA alone
+    std::string snapshot; //!< snapshot holding both, keyA first
+    std::string journal;  //!< keyA's record, then keyB's
+};
+
+Corpus
+makeCorpus(const char *name)
+{
+    Corpus corpus;
+    corpus.path = scratchPath(name);
+    RunCache cache(corpus.path);
+    cache.insert(keyA, signedPerf(), signedEnergy());
+    EXPECT_TRUE(cache.flush());
+    corpus.single = readFile(corpus.path);
+    cache.insert(keyA, signedPerf(), signedEnergy());
+    cache.insert(keyB, fussyPerf(), fussyEnergy());
+    corpus.journal = readFile(cache.walPath());
+    EXPECT_TRUE(cache.flush());
+    corpus.snapshot = readFile(corpus.path);
+    return corpus;
+}
+
+/** Position just past the end of the first line holding @p needle. */
+std::size_t
+lineEnd(const std::string &text, std::string_view needle)
+{
+    std::size_t at = text.find(needle);
+    EXPECT_NE(at, std::string::npos) << needle;
+    return at == std::string::npos ? text.size()
+                                   : text.find('\n', at) + 1;
+}
+
+/** @p text without the first line holding @p needle. */
+std::string
+dropLine(const std::string &text, std::string_view needle)
+{
+    std::size_t end = lineEnd(text, needle);
+    std::size_t begin = text.rfind('\n', end - 2) + 1;
+    return text.substr(0, begin) + text.substr(end);
+}
+
+/** @p text with @p line inserted after the first line holding
+ *  @p needle. */
+std::string
+insertAfter(const std::string &text, std::string_view needle,
+            const std::string &line)
+{
+    std::size_t end = lineEnd(text, needle);
+    return text.substr(0, end) + line + "\n" + text.substr(end);
+}
+
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaceFirst(const std::string &text, std::string_view from,
+             std::string_view to)
+{
+    std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at == std::string::npos)
+        return text;
+    return text.substr(0, at) + std::string(to) +
+           text.substr(at + from.size());
+}
+
+/** The value text of member @p name in its first occurrence. */
+std::string
+memberValue(const std::string &text, const std::string &name)
+{
+    std::size_t at = text.find("\"" + name + "\": ");
+    EXPECT_NE(at, std::string::npos) << name;
+    at += name.size() + 4;
+    std::size_t end = text.find_first_of(",\n", at);
+    return text.substr(at, end - at);
+}
+
+const char *const skippedOne = "skipped 1 undecodable entries";
+
+TEST(RunCacheFormat, EveryTruncationOfASnapshotIsIgnoredWithAWarning)
+{
+    Corpus corpus = makeCorpus("truncated");
+    const std::string &full = corpus.single;
+    ASSERT_EQ(full.back(), '\n');
+    // (An empty text leaves the file absent: a cold cache.)
+    for (std::size_t len = 1; len + 1 < full.size(); ++len) {
+        Opened opened =
+            openOver(corpus.path, full.substr(0, len), "");
+        ASSERT_EQ(opened.cache->size(), 0u) << len;
+        ASSERT_NE(opened.warnings.find("is corrupt"), std::string::npos)
+            << len << ": " << opened.warnings;
+    }
+    // Only the trailing newline may go.
+    Opened opened =
+        openOver(corpus.path, full.substr(0, full.size() - 1), "");
+    EXPECT_TRUE(opened.holds(keyA, signedPerf(), signedEnergy()));
+    EXPECT_EQ(opened.warnings, "");
+    fs::remove_all("run_cache_scratch/truncated");
+}
+
+TEST(RunCacheFormat, DamagedEntriesAreSkippedAndTheirNeighboursKept)
+{
+    Corpus corpus = makeCorpus("damaged");
+    const std::string &good = corpus.snapshot;
+    // keyA's record comes first, so each first-match edit hits it.
+    auto withValue = [&good](const std::string &name,
+                             const std::string &text) {
+        return replaceFirst(good,
+                            "\"" + name + "\": " + memberValue(good, name),
+                            "\"" + name + "\": " + text);
+    };
+    struct Case
+    {
+        const char *what;
+        std::string snapshot;
+        bool keptA;
+        bool warned;
+    };
+    const Case cases[] = {
+        {"missing key", dropLine(good, "\"dramToL2\""), false, true},
+        {"unknown key",
+         insertAfter(good, "\"dramToL2\"",
+                     "\"zz\": {\"a\": [1, \"two\", null, true, {}]},"),
+         true, false},
+        {"duplicate key, the last one valid",
+         insertAfter(good, "\"energy\": {",
+                     "\"l1ToReg\": \"junk\","),
+         true, false},
+        {"duplicate key, the last one invalid",
+         insertAfter(good, "\"l1ToReg\"", "\"l1ToReg\": \"junk\","),
+         false, true},
+        {"array one short", dropLine(good, "\"81985529216486895\""),
+         false, true},
+        {"array one long", insertAfter(good, "\"instrs\"", "\"0\","),
+         false, true},
+        {"out-of-range integer",
+         withValue("l1Accesses", "\"18446744073709551616\""), false,
+         true},
+        {"negative unsigned integer", withValue("l1Accesses", "\"-1\""),
+         false, true},
+        {"integer as a JSON number", withValue("l1Accesses", "101"),
+         false, true},
+        {"malformed hexfloat", withValue("dramQueueing", "\"0x1.8p\""),
+         false, true},
+        {"hexfloat as a JSON number", withValue("dramQueueing", "3.25"),
+         false, true},
+        {"integer as an array",
+         withValue("l1Accesses", "[\"101\", {\"x\": []}]"), false, true},
+        {"hexfloat as an object",
+         withValue("dramQueueing", "{\"v\": \"0x1p+0\"}"), false,
+         true},
+        {"key not hex", withValue("key", "\"0123456789abcdeg\""), false,
+         true},
+        {"key too short", withValue("key", "\"0123\""), false, true},
+        {"non-object entry",
+         replaceFirst(good, "\"entries\": [", "\"entries\": [7,"), true,
+         true},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        Opened opened = openOver(corpus.path, c.snapshot, "");
+        EXPECT_TRUE(opened.holds(keyB, fussyPerf(), fussyEnergy()));
+        EXPECT_EQ(opened.holds(keyA, signedPerf(), signedEnergy()),
+                  c.keptA);
+        EXPECT_EQ(opened.cache->size(), c.keptA ? 2u : 1u);
+        EXPECT_EQ(opened.warnings.find(skippedOne) != std::string::npos,
+                  c.warned)
+            << opened.warnings;
+    }
+
+    // A duplicate's last value wins over the first.
+    Opened opened = openOver(
+        corpus.path,
+        insertAfter(good, "\"l1ToReg\"", "\"l1ToReg\": \"0x1p+0\","),
+        "");
+    joule::EnergyBreakdown energy = signedEnergy();
+    energy.l1ToReg = 1.0;
+    EXPECT_TRUE(opened.holds(keyA, signedPerf(), energy));
+    EXPECT_EQ(opened.warnings, "");
+
+    // Of two records under one key, the snapshot keeps the first.
+    const std::size_t first = good.find("    {");
+    const std::size_t second = good.find("    {", first + 1);
+    std::string twice = good.substr(0, second) +
+                        good.substr(first, second - first) +
+                        good.substr(second);
+    twice = replaceFirst(twice, "\"0x1.0f0cf064dd592p+73\"",
+                         "\"0x1p+0\"");
+    opened = openOver(corpus.path, twice, "");
+    EXPECT_EQ(opened.cache->size(), 2u);
+    EXPECT_TRUE(opened.holds(keyA, signedPerf(), energy));
+    fs::remove_all("run_cache_scratch/damaged");
+}
+
+TEST(RunCacheFormat, WholeFileVerdicts)
+{
+    Corpus corpus = makeCorpus("whole");
+    const std::string &good = corpus.snapshot;
+    struct Case
+    {
+        const char *what;
+        std::string snapshot;
+        const char *warning; //!< nullptr: silently empty
+    };
+    const Case cases[] = {
+        // "schema" sorts after "entries": the entries were read
+        // before the version says to drop them.
+        {"stale schema", replaceFirst(good, "\"schema\": 4", "\"schema\": 3"),
+         nullptr},
+        {"schema as a string",
+         replaceFirst(good, "\"schema\": 4", "\"schema\": \"4\""), nullptr},
+        {"no schema", "{\"entries\": []}", nullptr},
+        {"stale schema, entries not an array",
+         "{\"entries\": 7, \"schema\": 3}", nullptr},
+        {"entries not an array", "{\"entries\": {\"a\": 1}, \"schema\": 4}",
+         "has no entry table"},
+        {"no entries", "{\"schema\": 4}", "has no entry table"},
+        {"top level not an object", "[{\"schema\": 4}]", "is corrupt"},
+        {"trailing garbage", good + "x", "is corrupt"},
+        {"syntax error after the entries",
+         replaceFirst(good, "\"schema\": 4", "\"schema\": 4,"),
+         "is corrupt"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.what);
+        Opened opened = openOver(corpus.path, c.snapshot, "");
+        EXPECT_EQ(opened.cache->size(), 0u);
+        if (c.warning == nullptr)
+            EXPECT_EQ(opened.warnings, "");
+        else
+            EXPECT_NE(opened.warnings.find(c.warning), std::string::npos)
+                << opened.warnings;
+    }
+
+    // A duplicated "schema" or "entries" member: the last one wins.
+    Opened opened = openOver(
+        corpus.path,
+        replaceFirst(good, "\"schema\": 4", "\"schema\": 3, \"schema\": 4"),
+        "");
+    EXPECT_EQ(opened.cache->size(), 2u);
+    opened = openOver(
+        corpus.path,
+        replaceFirst(good, "\"schema\": 4",
+                     "\"entries\": [], \"schema\": 4"),
+        "");
+    EXPECT_EQ(opened.cache->size(), 0u);
+    EXPECT_EQ(opened.warnings, "");
+    fs::remove_all("run_cache_scratch/whole");
+}
+
+TEST(RunCacheFormat, JournalVerdicts)
+{
+    Corpus corpus = makeCorpus("journal");
+    const std::string &journal = corpus.journal;
+    const std::size_t second = journal.find('\n', 1);
+    ASSERT_NE(second, std::string::npos);
+
+    Opened whole = openOver(corpus.path, "", journal);
+    EXPECT_EQ(whole.cache->walReplayed(), 2u);
+    EXPECT_TRUE(whole.holds(keyA, signedPerf(), signedEnergy()));
+    EXPECT_TRUE(whole.holds(keyB, fussyPerf(), fussyEnergy()));
+    EXPECT_EQ(whole.warnings, "");
+
+    // Every torn tail drops exactly the torn record.
+    for (std::size_t len = second; len < journal.size(); ++len) {
+        Opened opened =
+            openOver(corpus.path, "", journal.substr(0, len));
+        ASSERT_EQ(opened.cache->size(), 1u) << len;
+        ASSERT_TRUE(opened.holds(keyA, signedPerf(), signedEnergy()))
+            << len;
+        const bool torn = len > second + 1;
+        ASSERT_EQ(opened.warnings.find("dropped 1 torn") !=
+                      std::string::npos,
+                  torn)
+            << len << ": " << opened.warnings;
+    }
+
+    // A record whose checksum matches but whose payload does not
+    // decode is dropped like a torn one.
+    std::string payload = journal.substr(20, second - 20);
+    payload = replaceFirst(payload, "\"l1Accesses\":\"101\"",
+                           "\"l1Accesses\":\"x\"");
+    char sum[17];
+    std::snprintf(sum, sizeof(sum), "%016llx",
+                  static_cast<unsigned long long>(
+                      Fnv1a().add(payload).digest()));
+    Opened opened = openOver(
+        corpus.path, "",
+        "\nR " + std::string(sum) + " " + payload +
+            journal.substr(second));
+    EXPECT_EQ(opened.cache->size(), 1u);
+    EXPECT_TRUE(opened.holds(keyB, fussyPerf(), fussyEnergy()));
+    EXPECT_NE(opened.warnings.find("dropped 1 torn"), std::string::npos);
+
+    // Journal records win over the snapshot.
+    joule::EnergyBreakdown energy = signedEnergy();
+    energy.smBusy = 2.0;
+    std::string newer;
+    {
+        Opened empty = openOver(corpus.path, "", "");
+        empty.cache->insert(keyA, signedPerf(), energy);
+        newer = readFile(empty.cache->walPath());
+    }
+    opened = openOver(corpus.path, corpus.single, newer);
+    EXPECT_TRUE(opened.holds(keyA, signedPerf(), energy));
+    fs::remove_all("run_cache_scratch/journal");
 }
 
 } // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "common/rng.hh"
@@ -224,6 +225,58 @@ TEST(ServeProtocol, OversizedLinesAreRejectedBeforeParsing)
     EXPECT_TRUE(parseRequestId(big).empty());
 }
 
+TEST(ServeProtocol, PlainNumbersRoundTripExactly)
+{
+    // The design point a client asks for is the one the daemon
+    // simulates: each override reaches parseRequest bit-exact and the
+    // work identity does not move.
+    const double values[] = {1.0 / 3.0, 0.1 + 0.2, 1e-7,
+                             123456789012.5};
+    for (double value : values) {
+        for (bool scale : {true, false}) {
+            Request request = fancyRequest();
+            (scale ? request.spec.linkEnergyScale
+                   : request.spec.constGrowthOverride) = value;
+            Result<Request> parsed = parseRequest(request.encode());
+            ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
+            const RunSpec &back = parsed.value().spec;
+            EXPECT_EQ(scale ? back.linkEnergyScale
+                            : back.constGrowthOverride,
+                      value)
+                << request.encode();
+            EXPECT_EQ(parsed.value().workIdentity(),
+                      request.workIdentity());
+        }
+    }
+
+    // Values a 12-digit rendering already printed exactly keep those
+    // bytes.
+    for (double value : {0.5, 2.75, 1e-7, 0.1, 123.456, 2.5e20,
+                         1.5e-300, -0.25}) {
+        char expected[32];
+        std::snprintf(expected, sizeof(expected), "%.12g", value);
+        EXPECT_EQ(JsonValue(value).dumpCompact(), expected);
+    }
+}
+
+TEST(ServeProtocol, RunAnswerRatiosKeepTwelveDigits)
+{
+    // ipc and remote-fraction are display values beside the exact
+    // hexfloats; served bodies are compared byte for byte, so they
+    // keep the 12 significant digits they were always sent with.
+    harness::RunOutcome outcome;
+    outcome.perf.instrs[0] = 1;
+    outcome.perf.execCycles = 3.0;
+    outcome.perf.mem.remoteSectors = 2;
+    outcome.perf.mem.localSectors = 5;
+    const std::string body = encodeOutcome(outcome).dumpCompact();
+    EXPECT_NE(body.find("\"ipc\":0.333333333333,"), std::string::npos)
+        << body;
+    EXPECT_NE(body.find("\"remote-fraction\":0.285714285714,"),
+              std::string::npos)
+        << body;
+}
+
 TEST(ServeProtocol, RequestIdSalvageFromBrokenRequests)
 {
     // Unknown type, but the id is intact: error responses stay
@@ -244,8 +297,9 @@ TEST(ServeProtocol, ResponseRoundTrips)
     EXPECT_EQ(back.value().id, "id-1");
     EXPECT_EQ(back.value().status, ResponseStatus::Ok);
     double speedup = 0.0;
-    EXPECT_TRUE(decodeHexDouble(
-        back.value().result.find("speedup"), speedup));
+    const JsonValue *served = back.value().result.find("speedup");
+    ASSERT_NE(served, nullptr);
+    EXPECT_TRUE(decodeHexDouble(served->asString(), speedup));
     EXPECT_EQ(speedup, 3.0625);
 
     Response error = Response::error(
@@ -333,17 +387,13 @@ TEST(ServeProtocol, HexDoubleCodecIsExact)
         -1e22,    6.02214076e23,
     };
     for (double value : awkward) {
-        JsonValue encoded(encodeHexDouble(value));
         double decoded = 0.0;
-        ASSERT_TRUE(decodeHexDouble(&encoded, decoded));
+        ASSERT_TRUE(decodeHexDouble(encodeHexDouble(value), decoded));
         EXPECT_EQ(decoded, value);
     }
-    JsonValue truncated("0x1.8p");
     double out = 0.0;
-    EXPECT_FALSE(decodeHexDouble(&truncated, out));
-    JsonValue number(1.5);
-    EXPECT_FALSE(decodeHexDouble(&number, out));
-    EXPECT_FALSE(decodeHexDouble(nullptr, out));
+    EXPECT_FALSE(decodeHexDouble("0x1.8p", out));
+    EXPECT_FALSE(decodeHexDouble("", out));
 }
 
 } // namespace
