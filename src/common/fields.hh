@@ -44,7 +44,6 @@
 #include <charconv>
 #include <concepts>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -250,10 +249,8 @@ fieldsToJson(JsonWriter &writer, const T &value)
     } else if constexpr (std::is_same_v<T, std::string>) {
         writer.string(value);
     } else if constexpr (std::is_same_v<T, double>) {
-        char text[32];
-        writer.string(std::string_view(
-            text, static_cast<std::size_t>(std::snprintf(
-                      text, sizeof(text), "%a", value))));
+        char text[hexDoubleBufferSize];
+        writer.string(encodeHexDouble(value, text));
     } else {
         static_assert(fields_detail::Integer<T>,
                       "field type has no exact JSON encoding");

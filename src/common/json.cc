@@ -753,9 +753,15 @@ parseJson(std::string_view text)
 std::string
 encodeHexDouble(double value)
 {
-    char buffer[48];
-    std::snprintf(buffer, sizeof(buffer), "%a", value);
-    return buffer;
+    char buffer[hexDoubleBufferSize];
+    return std::string(encodeHexDouble(value, buffer));
+}
+
+std::string_view
+encodeHexDouble(double value, char (&buffer)[hexDoubleBufferSize])
+{
+    const int size = std::snprintf(buffer, hexDoubleBufferSize, "%a", value);
+    return std::string_view(buffer, static_cast<std::size_t>(size));
 }
 
 bool

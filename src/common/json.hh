@@ -24,6 +24,7 @@
 #ifndef MMGPU_COMMON_JSON_HH
 #define MMGPU_COMMON_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -271,6 +272,9 @@ class JsonValue
  */
 std::optional<JsonValue> parseJson(std::string_view text);
 
+/** Buffer size that holds any encodeHexDouble() text. */
+inline constexpr std::size_t hexDoubleBufferSize = 32;
+
 /**
  * Encode @p value as a C99 hexfloat string ("%a"): bit-exact through
  * decodeHexDouble(). The run cache and the serve protocol carry
@@ -278,8 +282,19 @@ std::optional<JsonValue> parseJson(std::string_view text);
  */
 std::string encodeHexDouble(double value);
 
-/** Decode a hexfloat (or any text strtod consumes whole); false on
- *  empty or malformed text. */
+/** encodeHexDouble() into @p buffer, without allocating; returns the
+ *  text, which lives in @p buffer. */
+std::string_view encodeHexDouble(double value,
+                                  char (&buffer)[hexDoubleBufferSize]);
+
+/**
+ * Decode a hexfloat; false on empty or malformed text. The "%a"
+ * spellings encodeHexDouble() writes for finite values decode on a
+ * direct path. Anything else goes through strtod whole: that covers
+ * the "inf" and "nan" that "%a" prints, and keeps hand-edited files'
+ * other spellings (decimals, a leading space, an underflow) decoding
+ * as they always have.
+ */
 bool decodeHexDouble(std::string_view text, double &out);
 
 } // namespace mmgpu

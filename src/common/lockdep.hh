@@ -49,6 +49,17 @@
 #include "common/contract.hh"
 #include "common/thread_safety.hh"
 
+#if defined(__SANITIZE_THREAD__)
+#define MMGPU_LOCKDEP_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MMGPU_LOCKDEP_TSAN 1
+#endif
+#endif
+#ifdef MMGPU_LOCKDEP_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace mmgpu::sync
 {
 
@@ -91,7 +102,17 @@ class MMGPU_CAPABILITY("mutex") Mutex
 {
   public:
     Mutex() : id_(detail::lockdepRegister()) {}
-    ~Mutex() { detail::lockdepUnregister(id_); }
+    ~Mutex()
+    {
+        detail::lockdepUnregister(id_);
+#ifdef MMGPU_LOCKDEP_TSAN
+        // std::mutex's destructor is trivial, so TSan never learns
+        // the mutex died: a later mutex at the same address would
+        // inherit this one's lock-order edges and TSan would report
+        // cycles between mutexes that never coexisted.
+        __tsan_mutex_destroy(&m_, 0);
+#endif
+    }
 
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
